@@ -14,35 +14,30 @@
 //! model allows, with no UB. Cross-thread publication of buffer contents is
 //! ordered by the `SeqCst` LL/SC operations on `X`/`Help` that precede and
 //! follow buffer accesses (see the crate docs).
+//!
+//! All `3N` buffers live in **one** contiguous block of `3N · W` words —
+//! buffer `i` is words `i·W..(i+1)·W` — so an object makes one buffer
+//! allocation instead of `3N + 1`, and [`BufferPool::get`] hands out a
+//! borrowed `W`-word view of its slice.
 
 use crate::sync::{AtomicU64, Labeled, Ordering};
 
-/// A `W`-word safe buffer.
-pub(crate) struct Buffer {
-    words: Box<[AtomicU64]>,
+/// A borrowed view of one `W`-word safe buffer inside a [`BufferPool`].
+#[derive(Clone, Copy)]
+pub(crate) struct Buffer<'a> {
+    words: &'a [AtomicU64],
 }
 
-impl Buffer {
-    /// Creates a zeroed buffer of `w` words.
-    pub(crate) fn new(w: usize) -> Self {
-        let words = (0..w).map(|_| AtomicU64::new(0)).collect();
-        Self { words }
-    }
-
-    /// Word count `W`.
-    pub(crate) fn len(&self) -> usize {
-        self.words.len()
-    }
-
+impl Buffer<'_> {
     /// Reads the buffer into `dst` word by word (`Relaxed`).
     ///
     /// This is the paper's `copy BUF[i] into *retval` (lines 3, 6, 7): `W`
     /// individually-atomic loads, which may observe a torn multi-word value
     /// if a write overlaps.
     #[inline]
-    pub(crate) fn copy_to(&self, dst: &mut [u64]) {
+    pub(crate) fn copy_to(self, dst: &mut [u64]) {
         debug_assert_eq!(dst.len(), self.words.len());
-        for (d, s) in dst.iter_mut().zip(self.words.iter()) {
+        for (d, s) in dst.iter_mut().zip(self.words) {
             *d = s.load(Ordering::Relaxed); // lint: cell=BUF
         }
     }
@@ -51,72 +46,55 @@ impl Buffer {
     ///
     /// This is the paper's `copy *v into BUF[i]` (lines 11, 17).
     #[inline]
-    pub(crate) fn copy_from(&self, src: &[u64]) {
+    pub(crate) fn copy_from(self, src: &[u64]) {
         debug_assert_eq!(src.len(), self.words.len());
-        for (s, d) in src.iter().zip(self.words.iter()) {
+        for (s, d) in src.iter().zip(self.words) {
             d.store(*s, Ordering::Relaxed); // lint: cell=BUF
         }
     }
-
-    /// Labels every word as `("BUF", b, word)` for model-checked builds
-    /// (no-op otherwise).
-    pub(crate) fn model_label(&self, b: u32) {
-        for (i, word) in self.words.iter().enumerate() {
-            Labeled::set_label(word, "BUF", b, i as u32);
-        }
-    }
 }
 
-impl core::fmt::Debug for Buffer {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "Buffer[{} words]", self.words.len())
-    }
-}
-
-/// The array `BUF[0..3N-1]`.
+/// The array `BUF[0..3N-1]`, as one block of `3N · W` words.
 pub(crate) struct BufferPool {
-    bufs: Box<[Buffer]>,
+    words: Box<[AtomicU64]>,
+    w: usize,
 }
 
 impl BufferPool {
     /// Allocates `count` buffers of `w` words each, all zeroed.
     pub(crate) fn new(count: usize, w: usize) -> Self {
-        Self { bufs: (0..count).map(|_| Buffer::new(w)).collect() }
+        Self { words: (0..count * w).map(|_| AtomicU64::new(0)).collect(), w }
     }
 
+    /// Buffer `i`: words `i·W..(i+1)·W` of the block.
     #[inline]
-    pub(crate) fn get(&self, i: usize) -> &Buffer {
-        &self.bufs[i]
+    pub(crate) fn get(&self, i: usize) -> Buffer<'_> {
+        Buffer { words: &self.words[i * self.w..(i + 1) * self.w] }
     }
 
     /// Number of buffers (`3N`).
     pub(crate) fn count(&self) -> usize {
-        self.bufs.len()
+        self.words.len() / self.w
     }
 
     /// Total number of 64-bit words held in buffers (`3N · W`): the
     /// dominant term of the paper's `O(NW)` space bound.
     pub(crate) fn words(&self) -> usize {
-        self.bufs.iter().map(Buffer::len).sum()
+        self.words.len()
     }
 
-    /// Labels every buffer word for model-checked builds (no-op
-    /// otherwise).
+    /// Labels word `j` of buffer `b` as `("BUF", b, j)` for model-checked
+    /// builds (no-op otherwise).
     pub(crate) fn model_label(&self) {
-        for (b, buf) in self.bufs.iter().enumerate() {
-            buf.model_label(b as u32);
+        for (i, word) in self.words.iter().enumerate() {
+            Labeled::set_label(word, "BUF", (i / self.w) as u32, (i % self.w) as u32);
         }
     }
 }
 
 impl core::fmt::Debug for BufferPool {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "BufferPool[{} x {} words]",
-            self.count(),
-            self.bufs.first().map_or(0, Buffer::len)
-        )
+        write!(f, "BufferPool[{} x {} words]", self.count(), self.w)
     }
 }
 
@@ -124,21 +102,25 @@ impl core::fmt::Debug for BufferPool {
 mod tests {
     use super::*;
 
+    fn read(p: &BufferPool, i: usize) -> Vec<u64> {
+        let mut out = vec![u64::MAX; p.w];
+        p.get(i).copy_to(&mut out);
+        out
+    }
+
     #[test]
     fn copy_roundtrip() {
-        let b = Buffer::new(4);
-        b.copy_from(&[1, 2, 3, 4]);
-        let mut out = [0u64; 4];
-        b.copy_to(&mut out);
-        assert_eq!(out, [1, 2, 3, 4]);
+        let p = BufferPool::new(3, 4);
+        p.get(1).copy_from(&[1, 2, 3, 4]);
+        assert_eq!(read(&p, 1), [1, 2, 3, 4]);
     }
 
     #[test]
     fn zero_initialized() {
-        let b = Buffer::new(3);
-        let mut out = [9u64; 3];
-        b.copy_to(&mut out);
-        assert_eq!(out, [0, 0, 0]);
+        let p = BufferPool::new(6, 3);
+        for i in 0..6 {
+            assert_eq!(read(&p, i), [0, 0, 0], "buffer {i}");
+        }
     }
 
     #[test]
@@ -146,27 +128,33 @@ mod tests {
         let p = BufferPool::new(6, 8);
         assert_eq!(p.count(), 6);
         assert_eq!(p.words(), 48);
-        assert_eq!(p.get(5).len(), 8);
+        assert_eq!(p.get(5).words.len(), 8);
+        assert_eq!(format!("{p:?}"), "BufferPool[6 x 8 words]");
     }
 
     #[test]
     fn buffers_are_independent() {
-        let p = BufferPool::new(3, 2);
-        p.get(0).copy_from(&[1, 1]);
-        p.get(1).copy_from(&[2, 2]);
-        let mut out = [0u64; 2];
-        p.get(0).copy_to(&mut out);
-        assert_eq!(out, [1, 1]);
-        p.get(2).copy_to(&mut out);
-        assert_eq!(out, [0, 0]);
+        // W = 3, 3N = 6: writing buffer i must leave every other buffer —
+        // in particular its block neighbours i-1 and i+1 — unchanged.
+        let pattern = |j: usize| [10 * j as u64 + 1, 10 * j as u64 + 2, 10 * j as u64 + 3];
+        for i in 0..6 {
+            let p = BufferPool::new(6, 3);
+            for j in 0..6 {
+                p.get(j).copy_from(&pattern(j));
+            }
+            p.get(i).copy_from(&[u64::MAX; 3]);
+            for j in 0..6 {
+                let expect = if j == i { [u64::MAX; 3] } else { pattern(j) };
+                assert_eq!(read(&p, j), expect, "buffer {j} after writing buffer {i}");
+            }
+        }
     }
 
     #[test]
     fn single_word_buffer() {
-        let b = Buffer::new(1);
-        b.copy_from(&[u64::MAX]);
-        let mut out = [0u64];
-        b.copy_to(&mut out);
-        assert_eq!(out[0], u64::MAX);
+        let p = BufferPool::new(3, 1);
+        p.get(2).copy_from(&[u64::MAX]);
+        assert_eq!(read(&p, 2), [u64::MAX]);
+        assert_eq!(read(&p, 1), [0]);
     }
 }

@@ -943,8 +943,8 @@ pub fn e11_backends(quick: bool) {
     }
     t.print();
     println!();
-    println!("Shape check: update_many amortizes routing, shard-slot lookup, object-");
-    println!("table locking, and counter flushes over each (shard, key)-sorted batch.");
+    println!("Shape check: update_many amortizes shard-slot lookup, object claims and");
+    println!("counter flushes over each (shard, key)-sorted batch.");
     println!("The amortized slice matters most where per-update cost is highest: the");
     println!("paper backend ran at {paper_speedup:.2}x this run, while the cheap O(W) baselines");
     println!("(~75–100 ns/update) hover near parity single-core — their batched win is");

@@ -310,6 +310,7 @@ mod tests {
 
     #[test]
     fn concurrent_swaps_every_seq_won_once() {
+        let _gate = crate::testgate();
         let per_thread = scaled(2_000);
         let c = Arc::new(DeferredSwapCell::new(0u64));
         let mut joins = Vec::new();

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use mwllsc::{MwFactory, MwHandle, PaperBackend};
 
-use crate::store::{Shard, Store, StoreError};
+use crate::store::{Store, StoreError};
 
 /// A capability to operate on a [`Store`]'s logical variables.
 ///
@@ -45,6 +45,11 @@ pub struct StoreHandle<B: MwFactory = PaperBackend> {
     store: Arc<Store<B>>,
     /// Per-shard leased slot id; `None` until the shard is first touched.
     slots: Box<[Option<u32>]>,
+    /// Batched-update scratch kept across calls, so a warmed handle
+    /// allocates nothing there: the batch's `(shard, key, index)` order...
+    order: Vec<(usize, u64, usize)>,
+    /// ...and the `W`-word LL/SC working value.
+    value: Box<[u64]>,
 }
 
 impl<B: MwFactory> std::fmt::Debug for StoreHandle<B> {
@@ -59,8 +64,9 @@ impl<B: MwFactory> std::fmt::Debug for StoreHandle<B> {
 
 impl<B: MwFactory> StoreHandle<B> {
     pub(crate) fn new(store: Arc<Store<B>>) -> Self {
-        let shards = store.shards();
-        Self { store, slots: vec![None; shards].into_boxed_slice() }
+        let slots = vec![None; store.shards()].into_boxed_slice();
+        let value = vec![0; store.width()].into_boxed_slice();
+        Self { store, slots, order: Vec::new(), value }
     }
 
     /// The store this handle operates on.
@@ -112,8 +118,7 @@ impl<B: MwFactory> StoreHandle<B> {
     fn object_handle(&mut self, key: u64) -> Result<(usize, B::Handle), StoreError> {
         let si = self.store.route(key)?;
         let p = self.slot_for(si)?;
-        let obj = self.store.object_for(si, key);
-        Ok((si, claim_owned::<B>(&obj, p)))
+        Ok((si, claim_owned::<B>(self.store.object_for(si, key), p)))
     }
 
     /// Reads the current value of `key` into `out`.
@@ -180,70 +185,45 @@ impl<B: MwFactory> StoreHandle<B> {
 
     /// Reads many keys, returning values in the order of `keys`.
     ///
-    /// The batch is processed in `(shard, key)` order: shard-slot lookup
-    /// and object-table acquisition are amortized over each run of keys
-    /// landing in the same shard, consecutive duplicate keys reuse one
-    /// claimed object handle, the per-shard operation counter is bumped
-    /// once per run instead of once per key, and the access pattern walks
-    /// each shard's table once instead of hopping between shards per key.
-    ///
-    /// All-or-nothing for the *reads*: routing is validated and every
-    /// needed shard slot is leased *before* the first read, so an error —
-    /// bad key or an exhausted shard — is returned without reading or
-    /// materializing anything. Shard slots leased by the pre-pass stay
-    /// with the handle whether or not the batch succeeds (leases are
-    /// handle-lifetime state, as with every other operation), so a failed
-    /// batch can still raise [`leased_shards`](Self::leased_shards).
+    /// A validate-and-lease pre-pass, then one [`read`](Self::read) per
+    /// key in caller order. All-or-nothing for the *reads*: routing is
+    /// validated and every needed shard slot is leased *before* the first
+    /// read, so an error — bad key or an exhausted shard — is returned
+    /// without reading or materializing anything. Shard slots leased by
+    /// the pre-pass stay with the handle whether or not the batch
+    /// succeeds (leases are handle-lifetime state, as with every other
+    /// operation), so a failed batch can still raise
+    /// [`leased_shards`](Self::leased_shards).
     pub fn read_many(&mut self, keys: &[u64]) -> Result<Vec<Vec<u64>>, StoreError> {
         let w = self.store.width();
-        let order = self.batch_prepass(keys)?;
-
-        let store = Arc::clone(&self.store);
-        let runs = resolve_runs(&store, &order);
-        let mut out = vec![vec![0u64; w]; keys.len()];
-        let mut counters = CounterRun::new();
-        for (at, end, obj) in runs {
-            let si = order[at].0; // runs partition 0..order.len()
-            let p = self.slots[si].expect("leased in the pre-pass above") as usize; // lint: panic-ok(pre-pass leased every shard in `order`; bounds per `runs`)
-            let mut h = claim_owned::<B>(&obj, p);
-            // run bounds from resolve_runs
-            for &(_, i, _) in &order[at..end] {
-                h.read(&mut out[i]); // i < keys.len(): out sized to match
-            }
-            counters.count(&store, si, (end - at) as u64, 0, bump_reads);
-        }
-        counters.flush(&store, bump_reads);
-        Ok(out)
+        let mut flat = vec![0u64; keys.len() * w];
+        self.read_many_into(keys, &mut flat)?;
+        Ok(flat.chunks_exact(w).map(<[u64]>::to_vec).collect())
     }
 
     /// Reads many keys into one flat `keys.len() × W` buffer (value `i`
-    /// lands at `out[i*W..(i+1)*W]`), with the exact batching economics
-    /// and all-or-nothing validation of [`read_many`](Self::read_many) —
-    /// minus its per-key allocations. This is the allocation-free
-    /// batched read: hot callers (the network frontend's coalescer)
-    /// reuse one buffer across ticks.
+    /// lands at `out[i*W..(i+1)*W]`), with the all-or-nothing validation
+    /// of [`read_many`](Self::read_many) — minus its per-key allocations.
+    /// This is the allocation-free batched read: hot callers (the network
+    /// frontend's coalescer, the mesh worker) reuse one buffer across
+    /// ticks.
+    ///
+    /// Reads are not sorted or grouped: with lock-free key lookups there
+    /// is no per-shard cost left to amortize, and measured against a plain
+    /// loop of `read`s the sort cost more than it saved.
     // lint: no-alloc
     pub fn read_many_into(&mut self, keys: &[u64], out: &mut [u64]) -> Result<(), StoreError> {
         let w = self.store.width();
         if out.len() != keys.len() * w {
             return Err(StoreError::WrongValueLen { expected: keys.len() * w, got: out.len() });
         }
-        let order = self.batch_prepass(keys)?;
-
-        let store = Arc::clone(&self.store);
-        let runs = resolve_runs(&store, &order);
-        let mut counters = CounterRun::new();
-        for (at, end, obj) in runs {
-            let si = order[at].0; // runs partition 0..order.len()
-            let p = self.slots[si].expect("leased in the pre-pass above") as usize; // lint: panic-ok(pre-pass leased every shard in `order`; bounds per `runs`)
-            let mut h = claim_owned::<B>(&obj, p);
-            // run bounds from resolve_runs
-            for &(_, i, _) in &order[at..end] {
-                h.read(&mut out[i * w..(i + 1) * w]); // i < keys.len(): out is keys × w
-            }
-            counters.count(&store, si, (end - at) as u64, 0, bump_reads);
+        for &key in keys {
+            let si = self.store.route(key)?;
+            self.slot_for(si)?;
         }
-        counters.flush(&store, bump_reads);
+        for (&key, value) in keys.iter().zip(out.chunks_exact_mut(w)) {
+            self.read(key, value)?;
+        }
         Ok(())
     }
 
@@ -272,17 +252,15 @@ impl<B: MwFactory> StoreHandle<B> {
     ///
     /// This is the batched write path: entries are processed in
     /// `(shard, key)` order with the original order preserved between
-    /// duplicates of the same key, so router validation, shard-slot
-    /// leasing, object claims, the table lock, the scratch buffer, and
-    /// the per-shard counters are all amortized across the batch — the
-    /// same economics as [`read_many`](Self::read_many), now for
-    /// updates. Entries for the same key go further: the whole run is
-    /// folded into **one LL/SC commit** (several logical updates per
-    /// SC), applied in batch order inside a single atomic step — a
-    /// concurrent reader sees either none or all of a batch's entries
-    /// for one key, never an intermediate prefix. As with
-    /// [`update_with`](Self::update_with), closures may run once per
-    /// LL/SC round and must be pure functions of the value slice.
+    /// duplicates of the same key, so the per-shard counters are bumped
+    /// once per shard run instead of once per entry. Entries for the same
+    /// key go further: the whole run is folded into **one LL/SC commit**
+    /// (one object claim, several logical updates per SC), applied in
+    /// batch order inside a single atomic step — a concurrent reader sees
+    /// either none or all of a batch's entries for one key, never an
+    /// intermediate prefix. As with [`update_with`](Self::update_with),
+    /// closures may run once per LL/SC round and must be pure functions
+    /// of the value slice.
     ///
     /// All-or-nothing *before the first write*: routing is validated and
     /// every needed shard slot is leased up front, so a bad key or an
@@ -331,169 +309,50 @@ impl<B: MwFactory> StoreHandle<B> {
 
     /// Shared batch machinery: validates and sorts `keys` by
     /// `(shard, key, index)`, leases every needed shard slot, then commits
-    /// `apply(i, buf)` for each entry with one LL/SC loop, reusing the
-    /// claimed object handle across runs of equal keys and flushing the
-    /// per-shard counters once per run.
+    /// `apply(i, buf)` for each entry with one LL/SC loop per run of equal
+    /// keys, bumping the per-shard counters once per shard run.
+    // lint: no-alloc
     pub(crate) fn batch_update(
         &mut self,
         keys: &[u64],
         apply: &mut dyn FnMut(usize, &mut [u64]),
     ) -> Result<(), StoreError> {
-        let order = self.batch_prepass(keys)?;
-
-        let store = Arc::clone(&self.store);
-        let runs = resolve_runs(&store, &order);
-        let mut buf = vec![0u64; store.width()];
-        let mut counters = CounterRun::new();
-        for (at, end, obj) in runs {
-            let si = order[at].0; // runs partition 0..order.len()
-            let p = self.slots[si].expect("leased in the pre-pass above") as usize; // lint: panic-ok(pre-pass leased every shard in `order`; bounds per `runs`)
-            let mut h = claim_owned::<B>(&obj, p);
-            let mut retries = 0;
-            // The whole run of entries for this key is applied inside ONE
-            // LL/SC commit — several logical updates per SC.
-            loop {
-                h.ll(&mut buf);
-                // run bounds from resolve_runs
-                for &(_, i, _) in &order[at..end] {
-                    apply(i, &mut buf);
-                }
-                if h.sc(&buf) {
-                    break;
-                }
-                retries += 1;
-            }
-            counters.count(&store, si, (end - at) as u64, retries, bump_updates);
-        }
-        counters.flush(&store, bump_updates);
-        Ok(())
-    }
-
-    /// The batch pre-pass shared by `read_many` and `batch_update`:
-    /// validates every route, sorts by `(shard, key, index)` (ties on the
-    /// same key keep batch order), and leases every needed shard slot so
-    /// capacity failures surface before any key is touched.
-    fn batch_prepass(&mut self, keys: &[u64]) -> Result<Vec<(usize, usize, u64)>, StoreError> {
-        let mut order: Vec<(usize, usize, u64)> = Vec::with_capacity(keys.len());
+        self.order.clear();
         for (i, &key) in keys.iter().enumerate() {
-            order.push((self.store.route(key)?, i, key));
-        }
-        order.sort_unstable_by_key(|&(si, i, key)| (si, key, i));
-        for &(si, _, _) in &order {
+            let si = self.store.route(key)?;
             self.slot_for(si)?;
+            self.order.push((si, key, i));
         }
-        Ok(order)
-    }
-}
+        // Ties on the same key keep batch order (index is the last field).
+        self.order.sort_unstable();
 
-/// Counter attribution for the batched read path: a run's ops are
-/// reads, and the read path never produces retries.
-fn bump_reads<B: MwFactory>(shard: &Shard<B>, ops: u64, retries: u64) {
-    debug_assert_eq!(retries, 0, "the read path takes no LL/SC retries");
-    shard.reads.fetch_add(ops, Ordering::Relaxed);
-}
-
-/// Counter attribution for the batched write path: logical updates plus
-/// the SC rounds lost to races.
-fn bump_updates<B: MwFactory>(shard: &Shard<B>, ops: u64, retries: u64) {
-    shard.updates.fetch_add(ops, Ordering::Relaxed);
-    if retries > 0 {
-        shard.update_retries.fetch_add(retries, Ordering::Relaxed);
-    }
-}
-
-/// A held read guard on one shard's key table, tagged with the shard
-/// index: the resolve pass keeps it across a run of same-shard keys so
-/// the table lock is acquired once per run, not once per key.
-type ShardTable<'a, B> = Option<(
-    usize,
-    std::sync::RwLockReadGuard<'a, std::collections::HashMap<u64, Arc<<B as MwFactory>::Object>>>,
-)>;
-
-/// Resolves a sorted batch into its key-runs: one `(start, end, object)`
-/// per maximal run of equal keys, materializing first touches along the
-/// way. All table locking happens *inside this pass* — one read-guard
-/// acquisition per shard run, at most one shard's lock held at a time,
-/// and crucially **no lock is held when it returns**, so the commit
-/// loops can run user closures and LL/SC retries without stalling
-/// concurrent first-touchers or deadlocking a re-entrant caller.
-fn resolve_runs<B: MwFactory>(
-    store: &Store<B>,
-    order: &[(usize, usize, u64)],
-) -> Vec<(usize, usize, Arc<B::Object>)> {
-    let mut runs = Vec::new();
-    let mut table: ShardTable<'_, B> = None;
-    let mut at = 0;
-    while at < order.len() {
-        let (si, _, key) = order[at]; // loop guard: at < order.len()
-                                      // The run of entries for this key (adjacent after the sort).
-        let end = at + order[at..].iter().take_while(|&&(s, _, k)| s == si && k == key).count();
-        if !matches!(&table, Some((tsi, _)) if *tsi == si) {
-            // Release the previous shard's guard *before* locking the
-            // next one: never hold two shard table locks at once, so
-            // deadlock-freedom does not hinge on the batch's ordering.
-            drop(table.take());
-            table = Some((si, store.shard_objects(si)));
-        }
-        let hit = table.as_ref().and_then(|(_, map)| map.get(&key).cloned());
-        let obj = hit.unwrap_or_else(|| {
-            // Release the read lock before `object_for` takes the write
-            // lock (holding both would deadlock this thread against
-            // itself).
-            drop(table.take());
-            let obj = store.object_for(si, key);
-            table = Some((si, store.shard_objects(si)));
-            obj
-        });
-        runs.push((at, end, obj));
-        at = end;
-    }
-    runs
-}
-
-/// Accumulates per-shard `(ops, retries)` counter deltas across a sorted
-/// batch and applies them once per shard run, instead of once per key.
-/// Which shard counters the totals land in is entirely the caller's
-/// `apply` closure — the accumulator cannot misattribute a read-path
-/// delta to a write-path counter.
-struct CounterRun {
-    shard: Option<usize>,
-    ops: u64,
-    retries: u64,
-}
-
-impl CounterRun {
-    fn new() -> Self {
-        Self { shard: None, ops: 0, retries: 0 }
-    }
-
-    /// Adds a delta for shard `si`, first applying the previous run's
-    /// totals when the shard changes.
-    fn count<B: MwFactory>(
-        &mut self,
-        store: &Store<B>,
-        si: usize,
-        ops: u64,
-        retries: u64,
-        apply: impl Fn(&Shard<B>, u64, u64),
-    ) {
-        if self.shard != Some(si) {
-            self.flush(store, apply);
-            self.shard = Some(si);
-        }
-        self.ops += ops;
-        self.retries += retries;
-    }
-
-    /// Applies the current run's `(ops, retries)` totals and resets.
-    fn flush<B: MwFactory>(&mut self, store: &Store<B>, apply: impl Fn(&Shard<B>, u64, u64)) {
-        if let Some(si) = self.shard.take() {
-            if self.ops > 0 || self.retries > 0 {
-                apply(store.shard(si), self.ops, self.retries);
+        for shard_run in self.order.chunk_by(|a, b| a.0 == b.0) {
+            let si = shard_run[0].0; // chunk_by yields non-empty runs
+            let p = self.slots[si].expect("leased above") as usize; // lint: panic-ok(the loop above leased every shard in the batch)
+            let mut retries = 0;
+            for run in shard_run.chunk_by(|a, b| a.1 == b.1) {
+                // The whole run of entries for key run[0].1 (chunk_by runs
+                // are non-empty) is applied inside ONE LL/SC commit —
+                // several logical updates per SC.
+                let mut h = claim_owned::<B>(self.store.object_for(si, run[0].1), p);
+                loop {
+                    h.ll(&mut self.value);
+                    for &(_, _, i) in run {
+                        apply(i, &mut self.value);
+                    }
+                    if h.sc(&self.value) {
+                        break;
+                    }
+                    retries += 1;
+                }
+            }
+            let shard = self.store.shard(si);
+            shard.updates.fetch_add(shard_run.len() as u64, Ordering::Relaxed);
+            if retries > 0 {
+                shard.update_retries.fetch_add(retries, Ordering::Relaxed);
             }
         }
-        self.ops = 0;
-        self.retries = 0;
+        Ok(())
     }
 }
 
@@ -657,7 +516,7 @@ mod tests {
             .collect();
         h.update_many(&mut batch).unwrap();
 
-        let mut expected = std::collections::HashMap::<u64, u64>::new();
+        let mut expected = std::collections::BTreeMap::<u64, u64>::new();
         for &k in &keys {
             *expected.entry(k).or_default() += k + 1;
         }

@@ -19,19 +19,24 @@
 //! # Architecture
 //!
 //! ```text
-//! key ──fnv──► shard s ──► lazy table ──► per-key B::Object (c slots, W words)
-//!                 │                        B: MwFactory = PaperBackend
-//!                 └─ SlotRegistry(c): one process id per StoreHandle
+//! key ──fnv──► shard s ──► SlotRegistry(c): one process id per StoreHandle
+//!  │
+//!  └─► key table: page key>>8 ──► slot key&255 ──► per-key B::Object (c slots, W words)
+//!      (OnceLock per page, OnceLock per key)        B: MwFactory = PaperBackend
 //! ```
 //!
-//! * [`Store`] owns `S` cache-line-padded shards. A shard holds a
-//!   [`SlotRegistry`](mwllsc::SlotRegistry) of `c = shard_capacity`
-//!   process slots and a lazily-populated table of per-key objects — a
-//!   16M-key store allocates **nothing** per key until the key is first
-//!   touched (per-key cost is `3cW + 3c + 1` words once materialized on
-//!   the default backend).
+//! * [`Store`] owns `S` cache-line-padded shards and one store-wide key
+//!   table. A shard holds a [`SlotRegistry`](mwllsc::SlotRegistry) of
+//!   `c = shard_capacity` process slots plus its operation counters. The
+//!   key table has two levels: an eager top level with one slot per
+//!   256-key page, and pages of per-key slots, each page allocated by the
+//!   first touch of any of its keys and each object by the first touch of
+//!   its key — a 16M-key store allocates **nothing** per key until the
+//!   key is first touched (per-key cost is `3cW + 3c + 1` words once
+//!   materialized on the default backend), and at most
+//!   [`Store::MAX_KEYS`] keys keep the top level small.
 //! * The store is **generic over its backend**: the type parameter
-//!   `B: `[`MwFactory`] decides what a shard's key table materializes.
+//!   `B: `[`MwFactory`] decides what the key table materializes.
 //!   [`PaperBackend`] (the default — `Store::new` is unchanged) builds
 //!   paper objects on the tagged substrate;
 //!   `Store::<EpochBackend>::new_in(...)` runs the same router and lease
@@ -43,15 +48,14 @@
 //! * [`Router`] maps keys to shards with an FNV-1a hash — deterministic,
 //!   dependency-free, balanced (the router property tests assert ≤ 2× of
 //!   ideal across 64 shards).
-//! * Batched paths amortize the store layer:
-//!   [`read_many`](StoreHandle::read_many) and the write-side
-//!   [`update_many`](StoreHandle::update_many) /
-//!   [`write_many`](StoreHandle::write_many) process a batch in
-//!   `(shard, key)` order — router validation and every needed shard
-//!   lease happen up front (all-or-nothing before the first
-//!   read/write), the table lock and per-shard counters are paid once
-//!   per shard run instead of once per key, and a run of equal keys is
-//!   folded into **one LL/SC commit**: several logical updates per SC.
+//! * Batched paths validate every key and take every needed shard lease
+//!   up front (all-or-nothing before the first read/write).
+//!   [`read_many`](StoreHandle::read_many) then reads in caller order;
+//!   the write-side [`update_many`](StoreHandle::update_many) /
+//!   [`write_many`](StoreHandle::write_many) process the batch in
+//!   `(shard, key)` order, pay the per-shard counters once per shard run
+//!   instead of once per key, and fold a run of equal keys into **one
+//!   LL/SC commit**: several logical updates per SC.
 //! * [`StoreHandle`] leases **one slot per touched shard**, on demand, and
 //!   holds it for its lifetime (the same lease discipline as
 //!   [`MwLlSc::attach`](mwllsc::MwLlSc::attach)). Holding shard slot `p`
@@ -69,10 +73,13 @@
 //! the key's object; [`update`](StoreHandle::update) is the standard
 //! LL/SC retry loop — every LL and SC inside it is wait-free, the loop
 //! itself is lock-free under per-key contention (like any LL/SC loop).
-//! One engineering caveat: the *first* touch of a key takes the owning
-//! shard's table lock to materialize the object (subsequent touches take a
-//! read lock). The lock is sharded `S` ways and never held across an
-//! LL/SC operation.
+//! Finding a key's object takes no lock: once its page and object exist
+//! the lookup is two `Acquire` loads. One engineering caveat: the *first*
+//! touch of a page or a key runs its `OnceLock` initializer (allocating
+//! the page, or building the object), and only concurrent initializers
+//! of that same page or key wait for it to finish — touches of every
+//! other key proceed. No initializer runs an LL/SC operation or user
+//! code.
 //!
 //! # Quickstart
 //!

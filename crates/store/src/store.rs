@@ -1,14 +1,22 @@
-//! The sharded store: configuration, shards, lazy per-key objects, and
+//! The sharded store: configuration, shards, the lazy per-key table, and
 //! the rolled-up space/stats reports.
 
 use mwllsc::sync::{AtomicU64, AtomicUsize, Ordering};
-use std::collections::HashMap;
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, OnceLock};
 
 use mwllsc::{CachePadded, MwFactory, PaperBackend, SlotRegistry};
 
 use crate::handle::StoreHandle;
 use crate::router::Router;
+
+/// Keys per key-table page, as a power of two (256). The table's top
+/// level holds one slot per page of the key space; a page of per-key
+/// slots is allocated by the first touch of any key in it.
+const PAGE_BITS: u32 = 8;
+const PAGE_SLOTS: usize = 1 << PAGE_BITS;
+
+/// A key-table page: one materialize-once slot per key.
+type Page<O> = Box<[OnceLock<Arc<O>>]>;
 
 /// Configuration for [`Store::try_new`].
 ///
@@ -59,6 +67,14 @@ pub enum StoreError {
     ZeroWords,
     /// `keys` was zero.
     ZeroKeys,
+    /// `keys` exceeds [`Store::MAX_KEYS`], which bounds the key table's
+    /// eagerly allocated top level.
+    TooManyKeys {
+        /// The requested key-space size.
+        keys: u64,
+        /// The largest admissible value.
+        max: u64,
+    },
     /// `shard_capacity` exceeds the backend's per-object process ceiling
     /// ([`MwFactory::max_processes`] — `Layout::MAX_PROCESSES` for the
     /// paper backends).
@@ -107,6 +123,9 @@ impl std::fmt::Display for StoreError {
             Self::ZeroShardCapacity => write!(f, "shard capacity must be at least 1"),
             Self::ZeroWords => write!(f, "word count W must be at least 1"),
             Self::ZeroKeys => write!(f, "key space must hold at least 1 key"),
+            Self::TooManyKeys { keys, max } => {
+                write!(f, "key space of {keys} keys exceeds the store's ceiling of {max}")
+            }
             Self::ShardCapacityTooLarge { capacity, max } => {
                 write!(f, "shard capacity {capacity} exceeds the per-object process ceiling {max}")
             }
@@ -128,17 +147,16 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// One shard: a slot registry for handle leases plus the lazily-populated
-/// table of per-key objects.
-pub(crate) struct Shard<B: MwFactory> {
+/// One shard: a slot registry for handle leases plus the counters of the
+/// keys routed to it (the objects themselves live in the store-wide key
+/// table).
+pub(crate) struct Shard {
     /// Shard-level slot leases. A [`StoreHandle`] holding slot `p` here
     /// owns process id `p` in *every* object of this shard, so its
     /// per-operation `claim(p)` can never conflict.
     pub(crate) registry: SlotRegistry,
-    /// key → object, populated on first touch.
-    objects: RwLock<HashMap<u64, Arc<B::Object>>>,
-    /// Materialized-object count, mirrored outside the lock so stats and
-    /// space rollups stay cheap.
+    /// Objects materialized for this shard's keys, so
+    /// [`Store::touched_keys`] need not walk the table.
     touched: AtomicUsize,
     // Operation counters live *per shard* (inside the shard's padded
     // block), not on the `Store`: a single store-global counter would be
@@ -172,7 +190,10 @@ pub(crate) struct Shard<B: MwFactory> {
 /// [`DynStore`](crate::DynStore) view.
 pub struct Store<B: MwFactory = PaperBackend> {
     router: Router,
-    shards: Box<[CachePadded<Shard<B>>]>,
+    shards: Box<[CachePadded<Shard>]>,
+    /// key → object, two levels: page `key >> PAGE_BITS`, then slot
+    /// `key % PAGE_SLOTS`. Both levels materialize once, on first touch.
+    table: Box<[OnceLock<Page<B::Object>>]>,
     shard_capacity: usize,
     w: usize,
     keys: u64,
@@ -213,12 +234,19 @@ impl Store {
 }
 
 impl<B: MwFactory> Store<B> {
+    /// The largest key space a store accepts (2^28 keys). The key table
+    /// allocates its top level — one slot per 256 keys — at construction,
+    /// and this ceiling keeps that allocation small (24 MiB at the
+    /// ceiling, 1.5 MiB for 2^24 keys).
+    pub const MAX_KEYS: u64 = 1 << 28;
+
     /// Creates a store over backend `B`, reporting configuration problems
     /// as typed errors.
     ///
-    /// Nothing is allocated per key here: a shard starts as an empty table
-    /// plus a slot registry, and a key's object is materialized on first
-    /// touch. (For inference reasons the backend-generic constructors
+    /// Nothing is allocated per key here: the store starts as the key
+    /// table's top level (one empty slot per 256-key page) plus a slot
+    /// registry per shard, and a key's page and object are materialized
+    /// on first touch. (For inference reasons the backend-generic constructors
     /// carry the `_in` suffix, mirroring `MwLlSc::try_new_in`; the
     /// unsuffixed [`Store::try_new`]/[`Store::new`] build the default
     /// [`PaperBackend`].)
@@ -236,6 +264,9 @@ impl<B: MwFactory> Store<B> {
         if keys == 0 {
             return Err(StoreError::ZeroKeys);
         }
+        if keys > Self::MAX_KEYS {
+            return Err(StoreError::TooManyKeys { keys, max: Self::MAX_KEYS });
+        }
         if shard_capacity > B::max_processes() {
             return Err(StoreError::ShardCapacityTooLarge {
                 capacity: shard_capacity,
@@ -251,7 +282,6 @@ impl<B: MwFactory> Store<B> {
                 .map(|_| {
                     CachePadded::new(Shard {
                         registry: SlotRegistry::new(shard_capacity),
-                        objects: RwLock::new(HashMap::new()),
                         touched: AtomicUsize::new(0),
                         reads: AtomicU64::new(0),
                         updates: AtomicU64::new(0),
@@ -259,6 +289,7 @@ impl<B: MwFactory> Store<B> {
                     })
                 })
                 .collect(),
+            table: (0..keys.div_ceil(PAGE_SLOTS as u64)).map(|_| OnceLock::new()).collect(),
             shard_capacity,
             w: width,
             keys,
@@ -353,34 +384,39 @@ impl<B: MwFactory> Store<B> {
         Ok(self.router.shard_of(key))
     }
 
-    pub(crate) fn shard(&self, si: usize) -> &Shard<B> {
+    pub(crate) fn shard(&self, si: usize) -> &Shard {
         &self.shards[si] // si comes from router.shard_of, bounded by shard count
     }
 
-    /// Read-locks shard `si`'s key table. The batched paths hold this
-    /// across a whole run of same-shard keys, paying one lock acquisition
-    /// per run instead of one per key.
-    pub(crate) fn shard_objects(
-        &self,
-        si: usize,
-    ) -> std::sync::RwLockReadGuard<'_, HashMap<u64, Arc<B::Object>>> {
-        self.shards[si].objects.read().unwrap_or_else(PoisonError::into_inner) // si bounded by shard count (router)
-    }
-
-    /// Returns the object for `key` (which must route to shard `si`),
-    /// materializing it on first touch.
-    pub(crate) fn object_for(&self, si: usize, key: u64) -> Arc<B::Object> {
-        let shard = &self.shards[si]; // si bounded by shard count (router)
-        if let Some(obj) = shard.objects.read().unwrap_or_else(PoisonError::into_inner).get(&key) {
-            return Arc::clone(obj);
-        }
-        let mut map = shard.objects.write().unwrap_or_else(PoisonError::into_inner);
-        let obj = map.entry(key).or_insert_with(|| {
-            shard.touched.fetch_add(1, Ordering::Relaxed);
+    /// Returns the object for `key` (which must be in range and route to
+    /// shard `si`), materializing its page and then the object on first
+    /// touch.
+    ///
+    /// Once both exist the lookup is two `Acquire` loads, with no lock
+    /// and no `Arc` clone (claiming a handle on the object still clones
+    /// inside the backend). Only concurrent first touches of one page or
+    /// one key wait, inside that `OnceLock`, and every caller gets the
+    /// single winner's object.
+    pub(crate) fn object_for(&self, si: usize, key: u64) -> &Arc<B::Object> {
+        // route() checked key < keys, so key >> PAGE_BITS < table.len()
+        let page = self.table[(key >> PAGE_BITS) as usize]
+            .get_or_init(|| (0..PAGE_SLOTS).map(|_| OnceLock::new()).collect());
+        // the low PAGE_BITS bits of the key index a PAGE_SLOTS-slot page
+        page[key as usize & (PAGE_SLOTS - 1)].get_or_init(|| {
+            self.shard(si).touched.fetch_add(1, Ordering::Relaxed);
             B::try_build(self.shard_capacity, self.w, &self.initial)
                 .expect("per-key config was validated at store construction") // lint: panic-ok(try_build was proven Ok for this exact config at construction)
-        });
-        Arc::clone(obj)
+        })
+    }
+
+    /// The materialized key-table pages.
+    fn pages(&self) -> impl Iterator<Item = &Page<B::Object>> {
+        self.table.iter().filter_map(OnceLock::get)
+    }
+
+    /// Every materialized per-key object.
+    fn objects(&self) -> impl Iterator<Item = &Arc<B::Object>> {
+        self.pages().flat_map(|page| page.iter().filter_map(OnceLock::get))
     }
 
     /// Rolls every materialized object's space accounting (including the
@@ -397,14 +433,14 @@ impl<B: MwFactory> Store<B> {
         let mut shared_words = 0;
         let mut retired_words = 0;
         let mut touched_keys = 0;
-        for shard in self.shards.iter() {
-            let map = shard.objects.read().unwrap_or_else(PoisonError::into_inner);
-            touched_keys += map.len();
-            for obj in map.values() {
-                shared_words += B::measured_shared_words(obj);
-                retired_words += B::retired_words(obj);
-            }
+        for obj in self.objects() {
+            touched_keys += 1;
+            shared_words += B::measured_shared_words(obj);
+            retired_words += B::retired_words(obj);
         }
+        let words = |bytes: usize| bytes.div_ceil(std::mem::size_of::<u64>());
+        let table_words = words(std::mem::size_of_val::<[_]>(&self.table))
+            + self.pages().map(|page| words(std::mem::size_of_val::<[_]>(page))).sum::<usize>();
         StoreSpace {
             backend: B::NAME,
             shards: self.shards.len(),
@@ -412,6 +448,7 @@ impl<B: MwFactory> Store<B> {
             touched_keys,
             shared_words,
             retired_words,
+            table_words,
             per_key_shared_words: B::object_shared_words(self.shard_capacity, self.w),
         }
     }
@@ -425,16 +462,15 @@ impl<B: MwFactory> Store<B> {
             s.reads += shard.reads.load(Ordering::Relaxed);
             s.updates += shard.updates.load(Ordering::Relaxed);
             s.update_retries += shard.update_retries.load(Ordering::Relaxed);
-            let map = shard.objects.read().unwrap_or_else(PoisonError::into_inner);
-            s.objects += map.len();
-            for obj in map.values() {
-                let os = B::object_stats(obj);
-                s.ll_ops += os.ll_ops;
-                s.sc_attempts += os.sc_attempts;
-                s.sc_successes += os.sc_successes;
-                s.lls_helped += os.lls_helped;
-                s.helps_given += os.helps_given;
-            }
+        }
+        for obj in self.objects() {
+            let os = B::object_stats(obj);
+            s.objects += 1;
+            s.ll_ops += os.ll_ops;
+            s.sc_attempts += os.sc_attempts;
+            s.sc_successes += os.sc_successes;
+            s.lls_helped += os.lls_helped;
+            s.helps_given += os.helps_given;
         }
         s
     }
@@ -449,7 +485,9 @@ impl<B: MwFactory> Store<B> {
 /// `shared_words == touched_keys × per_key_shared_words` is asserted by
 /// the store stress tests. Word counts are logical registers (the paper's
 /// unit); cache-line alignment slack is excluded by design (see
-/// [`CachePadded`]).
+/// [`CachePadded`]). The key table that indexes the objects is reported
+/// apart, in `table_words`, so the invariant stays a statement about the
+/// objects alone.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct StoreSpace {
@@ -469,17 +507,22 @@ pub struct StoreSpace {
     /// (retired-but-not-freed words; zero for the default tagged
     /// substrate).
     pub retired_words: usize,
+    /// Words held by the key table itself, never folded into
+    /// `shared_words`: its eager top level (one slot per 256-key page of
+    /// the key space) plus every page a first touch has materialized (256
+    /// per-key slots each, touched or not).
+    pub table_words: usize,
     /// Cost of one materialized key ([`MwFactory::object_shared_words`];
     /// `3cW + 3c + 1` words for the paper backends).
     pub per_key_shared_words: usize,
 }
 
 impl StoreSpace {
-    /// Everything the store currently holds: live words plus the
-    /// reclamation backlog.
+    /// Everything the store currently holds: live words, the reclamation
+    /// backlog and the key table.
     #[must_use]
     pub fn total_words(&self) -> usize {
-        self.shared_words + self.retired_words
+        self.shared_words + self.retired_words + self.table_words
     }
 
     /// What materializing the *entire* key space up front would cost, in
@@ -544,6 +587,12 @@ mod tests {
             Store::try_new(StoreConfig { keys: 0, ..ok.clone() }).unwrap_err(),
             StoreError::ZeroKeys
         );
+        let max = Store::<PaperBackend>::MAX_KEYS;
+        assert!(Store::try_new(StoreConfig { keys: max, ..ok.clone() }).is_ok());
+        assert_eq!(
+            Store::try_new(StoreConfig { keys: max + 1, ..ok.clone() }).unwrap_err(),
+            StoreError::TooManyKeys { keys: max + 1, max }
+        );
         assert_eq!(
             Store::try_new(StoreConfig { shard_capacity: Layout::MAX_PROCESSES + 1, ..ok.clone() })
                 .unwrap_err(),
@@ -562,22 +611,85 @@ mod tests {
     fn lazy_materialization_counts_touches_once() {
         let store = Store::new(StoreConfig::new(4, 2, 1, 1000));
         assert_eq!(store.touched_keys(), 0);
+        let top_level = store.space().table_words;
+        assert!(top_level > 0, "the top level is allocated eagerly");
         let si = store.route(17).unwrap();
         let a = store.object_for(si, 17);
         let b = store.object_for(si, 17);
-        assert!(Arc::ptr_eq(&a, &b), "one object per key");
+        assert!(Arc::ptr_eq(a, b), "one object per key");
         assert_eq!(store.touched_keys(), 1);
-        assert_eq!(store.space().shared_words, store.space().per_key_shared_words);
+        let space = store.space();
+        assert_eq!(space.shared_words, space.per_key_shared_words, "the table is not folded in");
+        let page = space.table_words - top_level;
+        assert!(page >= PAGE_SLOTS, "a touch materializes one page of {PAGE_SLOTS} slots");
+        // A second key on the same page costs an object but no page.
+        store.object_for(store.route(18).unwrap(), 18);
+        assert_eq!(store.space().table_words, top_level + page);
+        assert_eq!(store.space().shared_words, 2 * space.per_key_shared_words);
+    }
+
+    #[test]
+    fn concurrent_first_touches_build_one_object_per_key() {
+        // Key 300 and its page neighbours (page 1 holds 256..512), all
+        // untouched, first-touched by 8 threads released together.
+        let store = Store::new(StoreConfig::new(4, 8, 1, 1000));
+        let keys = [299u64, 300, 301];
+        let barrier = std::sync::Barrier::new(8);
+        let seen: Vec<Vec<Arc<_>>> = std::thread::scope(|s| {
+            let spawned: Vec<_> = (0..8)
+                .map(|t| {
+                    let (store, barrier) = (&store, &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        // Alternate the touch order so threads collide on
+                        // the page slot and on each key slot.
+                        let mut order = keys;
+                        if t % 2 == 1 {
+                            order.reverse();
+                        }
+                        let mut objs: Vec<_> = order
+                            .iter()
+                            .map(|&k| Arc::clone(store.object_for(store.route(k).unwrap(), k)))
+                            .collect();
+                        if t % 2 == 1 {
+                            objs.reverse();
+                        }
+                        objs
+                    })
+                })
+                .collect();
+            spawned.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for objs in &seen[1..] {
+            for (a, b) in objs.iter().zip(&seen[0]) {
+                assert!(Arc::ptr_eq(a, b), "every thread got the single winner's object");
+            }
+        }
+        assert_eq!(store.touched_keys(), keys.len());
+        let space = store.space();
+        assert_eq!(space.touched_keys, keys.len());
+        assert_eq!(space.shared_words, keys.len() * space.per_key_shared_words);
     }
 
     #[test]
     fn route_rejects_out_of_range_keys() {
-        let store = Store::new(StoreConfig::new(2, 1, 1, 10));
-        assert!(store.route(9).is_ok());
-        assert_eq!(
-            store.route(10).unwrap_err(),
-            StoreError::KeyOutOfRange { key: 10, capacity: 10 }
-        );
+        // Key spaces that are not multiples of the page size: the last
+        // key lives on a partly used page.
+        for keys in [1u64, 10, 257, 1000] {
+            let store = Store::new(StoreConfig::new(2, 1, 1, keys));
+            assert!(store.route(keys - 1).is_ok());
+            let mut h = store.attach();
+            h.update(keys - 1, |v| v[0] = keys).unwrap();
+            assert_eq!(h.read_vec(keys - 1).unwrap(), vec![keys], "last key of {keys}");
+            assert_eq!(
+                h.read_vec(keys).unwrap_err(),
+                StoreError::KeyOutOfRange { key: keys, capacity: keys }
+            );
+            assert_eq!(
+                store.route(keys).unwrap_err(),
+                StoreError::KeyOutOfRange { key: keys, capacity: keys }
+            );
+        }
     }
 
     #[test]
@@ -587,6 +699,8 @@ mod tests {
         assert_eq!(space.shared_words, 0);
         assert_eq!(space.per_key_shared_words, 3 * 2 * 2 + 3 * 2 + 1);
         assert_eq!(space.eager_words(), (1u128 << 24) * 19);
+        // Before the first touch only the table's top level exists.
+        assert!(space.table_words * 8 <= 2 << 20, "{} table words", space.table_words);
     }
 
     #[test]
@@ -598,5 +712,6 @@ mod tests {
         assert!(StoreError::ShardCapacityTooLarge { capacity: 9, max: 8 }
             .to_string()
             .contains("ceiling 8"));
+        assert!(StoreError::TooManyKeys { keys: 9, max: 8 }.to_string().contains("ceiling of 8"));
     }
 }

@@ -4,7 +4,7 @@
 //! Both properties are load-bearing for the store. Stability is
 //! correctness: two handles disagreeing on a key's shard would materialize
 //! two objects for one logical variable. Balance is the scaling claim: a
-//! skewed router would concentrate slot leases, table locks and cache
+//! skewed router would concentrate slot leases, shard counters and cache
 //! traffic on a few shards and void the point of sharding.
 
 use proptest::prelude::*;
