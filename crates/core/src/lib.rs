@@ -121,5 +121,8 @@ pub use variable::{ClaimError, ConfigError, LlStrategy, MwLlSc, SpaceReport};
 
 /// The alternative epoch-based substrate (ablation), re-exported.
 pub use llsc_word::EpochLlSc;
+/// The single-word LL/SC interface both substrates implement,
+/// re-exported so a raw substrate cell can be driven directly.
+pub use llsc_word::LlScCell;
 /// The default single-word substrate, re-exported for convenience.
 pub use llsc_word::TaggedLlSc;

@@ -1,8 +1,8 @@
 //! The versioned `BENCH_<rev>.json` perf-trajectory schema.
 //!
-//! Every bench emitter in the harness (E13's server grid, E15's mesh
-//! grid, E16's YCSB grid) serializes through [`BenchFile`], so two runs
-//! from any two PRs can be compared cell-by-cell by `bench-diff`
+//! The harness's bench emitter (E16's YCSB grid, which also carries the
+//! server and mesh sweeps) serializes through [`BenchFile`], so any two
+//! runs can be compared cell-by-cell by `bench-diff`
 //! ([`crate::bench_diff`]). Design rules:
 //!
 //! - **versioned** — `schema_version` is checked before any comparison;
@@ -15,12 +15,11 @@
 //!   different machines can widen its noise threshold instead of
 //!   treating cross-host drift as a regression;
 //! - **std-only** — the parser below is a minimal recursive-descent
-//!   JSON reader (the container has no serde, same reason the criterion
-//!   and proptest shims exist).
+//!   JSON reader (the workspace builds offline without serde, the same
+//!   reason the proptest shim exists).
 //!
-//! Legacy note: the PR 7 / PR 9 emitters predate this module and wrote
-//! ad-hoc shapes; [`migrate_legacy`] lifts those files onto the
-//! versioned schema (`bench/archive/` keeps the originals).
+//! Files from before this schema were migrated onto it once; the
+//! pre-schema originals are kept under `bench/archive/`.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -131,7 +130,7 @@ impl Cell {
 pub struct BenchFile {
     /// Always [`SCHEMA_VERSION`] for files this code writes.
     pub schema_version: u64,
-    /// The emitting experiment (`"e16-ycsb"`, `"e13-server"`, ...).
+    /// The emitting experiment (`"e16-ycsb"`).
     pub experiment: String,
     /// Revision label (env `MWLLSC_BENCH_REV`, else short git hash).
     pub rev: String,
@@ -343,8 +342,6 @@ pub enum SchemaError {
         /// The version found in the file.
         found: u64,
     },
-    /// A legacy file could not be recognized by [`migrate_legacy`].
-    UnknownLegacy(String),
 }
 
 impl fmt::Display for SchemaError {
@@ -353,12 +350,9 @@ impl fmt::Display for SchemaError {
             SchemaError::Json { at, what } => write!(f, "invalid JSON at byte {at}: {what}"),
             SchemaError::Missing(what) => write!(f, "missing field `{what}`"),
             SchemaError::BadType(what) => write!(f, "wrong type for `{what}`"),
-            SchemaError::Version { found } => write!(
-                f,
-                "schema_version {found} is not the supported version {SCHEMA_VERSION} \
-                 (run `bench-migrate` on legacy files)"
-            ),
-            SchemaError::UnknownLegacy(what) => write!(f, "unrecognized legacy file: {what}"),
+            SchemaError::Version { found } => {
+                write!(f, "schema_version {found} is not the supported version {SCHEMA_VERSION}")
+            }
         }
     }
 }
@@ -664,96 +658,6 @@ pub fn bench_repeats(default: u64) -> u64 {
         .and_then(|s| s.parse::<u64>().ok())
         .filter(|&n| n > 0)
         .unwrap_or(default)
-}
-
-// ------------------------------------------------------------------
-// Legacy migration (the pre-schema PR 7 / PR 9 emitters).
-
-/// Lifts a legacy `BENCH_*.json` (the ad-hoc shapes PR 7's E13 and
-/// PR 9's E15 emitters wrote, recognizable by their `experiment` field
-/// and missing `schema_version`) onto the current schema.
-pub fn migrate_legacy(src: &str) -> Result<BenchFile, SchemaError> {
-    let v = parse_json(src)?;
-    let obj = v.as_obj("top level")?;
-    if obj.get("schema_version").is_some() {
-        return Err(SchemaError::UnknownLegacy("already has schema_version".to_string()));
-    }
-    let experiment = obj.field("experiment")?.as_str("experiment")?;
-    let host_obj = obj.field("host")?.as_obj("host")?;
-    let host = Host {
-        os: host_obj.field("os")?.as_str("host.os")?,
-        arch: host_obj.field("arch")?.as_str("host.arch")?,
-        cores: host_obj.field("cores")?.as_u64("host.cores")?,
-        mode: host_obj.field("mode")?.as_str("host.mode")?,
-    };
-    let mut out = BenchFile {
-        schema_version: SCHEMA_VERSION,
-        experiment: experiment.clone(),
-        rev: obj.field("rev")?.as_str("rev")?,
-        quick: obj.field("quick")?.as_bool("quick")?,
-        // The legacy emitters ran each cell once.
-        repeats: 1,
-        host,
-        notes: String::new(),
-        cells: Vec::new(),
-    };
-    match experiment.as_str() {
-        "e13-server" => {
-            out.notes = "migrated from the legacy pre-schema e13 emitter; hist buckets are \
-                         write-batch sizes: 1, 2-3, 4-7, 8-15, 16-31, 32-63, 64-127, 128+"
-                .to_string();
-            for rv in obj.field("rows")?.as_arr("rows")? {
-                let r = rv.as_obj("row")?;
-                let conns = r.field("conns")?.as_u64("conns")?;
-                let depth = r.field("depth")?.as_u64("depth")?;
-                let dispatch = r.field("dispatch")?.as_str("dispatch")?;
-                let mut cell = Cell::new(
-                    format!("e13/conns={conns}/depth={depth}/{dispatch}"),
-                    true,
-                    r.field("rps")?.as_f64("rps")?,
-                )
-                .counter("mean_write_batch", r.field("mean_write_batch")?.as_f64("mwb")?)
-                .counter("waves", r.field("waves")?.as_f64("waves")?);
-                let mut hist = Vec::new();
-                for h in r.field("batch_hist")?.as_arr("batch_hist")? {
-                    hist.push(h.as_u64("batch_hist")?);
-                }
-                cell = cell.with_hist(hist);
-                out.push(cell);
-            }
-        }
-        "e15-mesh" => {
-            out.notes = "migrated from the legacy pre-schema e15 emitter; hist buckets are \
-                         log2 ring occupancy, bucket b covers 2^(b-1)..2^b-1, empty rings \
-                         unsampled"
-                .to_string();
-            if let Some(w) = obj.get("mesh_workers") {
-                out.notes.push_str(&format!("; mesh_workers={}", w.as_u64("mesh_workers")?));
-            }
-            for rv in obj.field("rows")?.as_arr("rows")? {
-                let r = rv.as_obj("row")?;
-                let callers = r.field("callers")?.as_u64("callers")?;
-                let depth = r.field("depth")?.as_u64("depth")?;
-                let mode = r.field("mode")?.as_str("mode")?;
-                let mut cell = Cell::new(
-                    format!("e15/callers={callers}/depth={depth}/{mode}"),
-                    true,
-                    r.field("rps")?.as_f64("rps")?,
-                )
-                .counter("entries", r.field("entries")?.as_f64("entries")?)
-                .counter("msgs", r.field("msgs")?.as_f64("msgs")?)
-                .counter("waves", r.field("waves")?.as_f64("waves")?);
-                let mut hist = Vec::new();
-                for h in r.field("occ_hist")?.as_arr("occ_hist")? {
-                    hist.push(h.as_u64("occ_hist")?);
-                }
-                cell = cell.with_hist(hist);
-                out.push(cell);
-            }
-        }
-        other => return Err(SchemaError::UnknownLegacy(format!("experiment `{other}`"))),
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
-//! Experiments E1–E8: each function regenerates one table of
-//! `EXPERIMENTS.md` (see `DESIGN.md` §4 for the experiment index).
+//! Experiments E1–E16: each function regenerates one table of
+//! `EXPERIMENTS.md`, timed by `bench_ns` or, for the E16 grid, by
+//! per-worker walls.
 
 use mwllsc::sync::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -75,7 +76,7 @@ pub fn e2_time_w(quick: bool) {
     println!("## E2 — single-process LL/SC latency vs W (N = 16)\n");
     let iters: u64 = if quick { 20_000 } else { 200_000 };
     let n = 16;
-    let mut t = Table::new(["W", "LL", "SC", "LL ns/word", "SC ns/word"]);
+    let mut t = Table::new(["W", "LL", "SC", "read", "LL ns/word", "SC ns/word"]);
     let mut ll_pts = Vec::new();
     let mut sc_pts = Vec::new();
     for w in [1usize, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024] {
@@ -90,12 +91,14 @@ pub fn e2_time_w(quick: bool) {
             let _ = h.sc(&val);
         }) - ll_ns; // isolate the SC from the mandatory preceding LL
         let sc_ns = sc_ns.max(0.1);
+        let read_ns = bench_ns(iters.max(w as u64), || h.read(&mut buf));
         ll_pts.push((w as f64, ll_ns));
         sc_pts.push((w as f64, sc_ns));
         t.row([
             w.to_string(),
             fmt_ns(ll_ns),
             fmt_ns(sc_ns),
+            fmt_ns(read_ns),
             format!("{:.2}", ll_ns / w as f64),
             format!("{:.2}", sc_ns / w as f64),
         ]);
@@ -594,10 +597,12 @@ pub fn e7_helping(quick: bool) {
 pub fn e8_compare(quick: bool) {
     println!("## E8 — N-thread fetch-update storm: throughput and space\n");
     let per_thread: u64 = if quick { 10_000 } else { 50_000 };
+    let solo_iters: u64 = if quick { 20_000 } else { 200_000 };
     for w in [2usize, 8, 64] {
         let mut t = Table::new([
             "algo",
             "progress",
+            "LL+SC ns at N=1",
             "N=2",
             "N=4",
             "N=8",
@@ -606,6 +611,14 @@ pub fn e8_compare(quick: bool) {
             "space class",
         ]);
         for algo in Algo::ALL {
+            // Uncontended cost of one LL+SC pair: no one to help or
+            // retry against, so this is the algorithm's fixed overhead.
+            let (mut solo, _) = build(algo, 1, w, &vec![0u64; w]);
+            let (mut buf, val) = (vec![0u64; w], vec![1u64; w]);
+            let solo_ns = bench_ns(solo_iters, || {
+                solo[0].ll(&mut buf);
+                let _ = solo[0].sc(&val);
+            });
             let mut cells: Vec<String> = Vec::new();
             // Post-storm reclamation backlog (the epoch-limbo high-water
             // mark): 0 by construction for the bounded algorithms, bounded
@@ -654,6 +667,7 @@ pub fn e8_compare(quick: bool) {
             t.row([
                 algo.name().to_string(),
                 algo.progress().to_string(),
+                fmt_ns(solo_ns),
                 cells[0].clone(),
                 cells[1].clone(),
                 cells[2].clone(),
@@ -668,7 +682,91 @@ pub fn e8_compare(quick: bool) {
     }
     println!("Shape check: jp-waitfree throughput within a small constant of am-style and");
     println!("ptr-swap, while its space column is ~N× below am-style — the paper's claim:");
-    println!("same time class, factor-N less space, no GC dependence.\n");
+    println!("same time class, factor-N less space, no GC dependence. The N=1 column is");
+    println!("the LL strategy ablation: jp-waitfree vs jp-retry-ll prices the wait-free");
+    println!("LL's announce-and-help machinery when no one needs it.\n");
+}
+
+/// E9 — reclamation: the epoch-pointer substrate's SC (allocate + CAS +
+/// retire) against the tagged substrate's one `compare_exchange`, raw and
+/// as the multiword object's backing cells, plus the epoch substrate's
+/// node high-water under sustained swaps.
+pub fn e9_reclamation(quick: bool) {
+    use mwllsc::{EpochLlSc, LlScCell, TaggedLlSc};
+    use std::hint::black_box;
+
+    println!("## E9 — reclamation: substrate SC cost and steady-state memory\n");
+    println!("Claim: the epoch substrate pays an allocation and a retire per successful");
+    println!("SC, but the nodes it holds stay bounded however many swaps run; the");
+    println!("tagged substrate pays one compare_exchange and holds no heap at all.\n");
+    let iters: u64 = if quick { 50_000 } else { 500_000 };
+    const N: usize = 4;
+    const W: usize = 8;
+
+    let tagged = TaggedLlSc::new(32, 0);
+    let tagged_ns = bench_ns(iters, || {
+        let (v, link) = tagged.ll();
+        black_box(tagged.sc(link, v + 1));
+    });
+    let epoch = EpochLlSc::new(0);
+    let epoch_ns = bench_ns(iters, || {
+        let (v, link) = epoch.ll();
+        black_box(epoch.sc(link, v + 1));
+    });
+    let (_, stale) = epoch.ll();
+    let (v, link) = epoch.ll();
+    assert!(epoch.sc(link, v + 1), "uncontended SC succeeds");
+    let epoch_fail_ns = bench_ns(iters, || {
+        black_box(epoch.sc(stale, 0));
+    });
+
+    let (mut buf, val) = ([0u64; W], [9u64; W]);
+    let obj = MwLlSc::<TaggedLlSc>::try_new_in(N, W, &[0; W]).expect("valid config");
+    let mut h = obj.claim(0).expect("fresh object");
+    let tagged_mw_ns = bench_ns(iters, || {
+        h.ll(&mut buf);
+        black_box(h.sc(&val));
+    });
+    let obj = MwLlSc::<EpochLlSc>::try_new_in(N, W, &[0; W]).expect("valid config");
+    let mut h = obj.claim(0).expect("fresh object");
+    let epoch_mw_ns = bench_ns(iters, || {
+        h.ll(&mut buf);
+        black_box(h.sc(&val));
+    });
+
+    let pair = format!("multiword LL + SC (N={N}, W={W})");
+    let mut t = Table::new(["substrate", "operation", "ns/op"]);
+    for (substrate, op, ns) in [
+        ("tagged", "raw LL + SC success", tagged_ns),
+        ("epoch", "raw LL + SC success (alloc + CAS + retire)", epoch_ns),
+        ("epoch", "raw SC failure (stale link, no retire)", epoch_fail_ns),
+        ("tagged", &pair, tagged_mw_ns),
+        ("epoch", &pair, epoch_mw_ns),
+    ] {
+        t.row([substrate.to_string(), op.to_string(), fmt_ns(ns)]);
+    }
+    t.print();
+
+    // The memory half: without reclamation the cell would hold one node
+    // per successful swap ever made.
+    const SWAPS: u64 = 200_000;
+    let cell = EpochLlSc::new(0);
+    let mut high_water = 0usize;
+    for _ in 0..SWAPS {
+        let (v, link) = cell.ll();
+        assert!(cell.sc(link, v.wrapping_add(1)), "single-thread SC succeeds");
+        high_water = high_water.max(cell.tracked_nodes());
+    }
+    println!();
+    println!("Node high-water over {SWAPS} single-thread swaps: {high_water} (one node per");
+    println!("swap without reclamation would be {SWAPS}).\n");
+    println!(
+        "Shape check: an epoch SC success costs {:.1}x a tagged one raw and {:.1}x as the",
+        epoch_ns / tagged_ns,
+        epoch_mw_ns / tagged_mw_ns
+    );
+    println!("multiword object's backing; the high-water stays bounded, far below the");
+    println!("swap count.\n");
 }
 
 /// Builds a [`Store`] via [`Store::try_new`] and exits the CLI with a
@@ -1072,231 +1170,6 @@ pub fn e12_model(_quick: bool) {
     std::process::exit(2);
 }
 
-/// E13 — the network frontend: loopback requests/sec across connection
-/// count × pipeline depth, coalesced vs per-request dispatch, plus a
-/// machine-readable `BENCH_<rev>.json` drop (the perf-trajectory entry
-/// the ROADMAP asks for).
-pub fn e13_server(quick: bool) {
-    use mwllsc_harness::bench_schema::{bench_rev, BenchFile, Cell};
-    use mwllsc_server::{
-        Client, Dispatch, Request, Response, Server, ServerConfig, ServerStats, UpdateOp,
-    };
-
-    println!("## E13 — mwllsc-server: pipelined loopback traffic, coalesced vs per-request\n");
-    println!("Claim: the server's wave coalescer converts socket-level concurrency into");
-    println!("the store's batched paths — each worker tick drains every ready");
-    println!("connection's pipelined frames into one merged (shard, key)-sorted batch,");
-    println!("so equal-key runs from different clients fold into single SC commits.");
-    println!("Per-request dispatch serves the same pipelines one store call at a time;");
-    println!("the delta is what batching buys at the network layer.\n");
-
-    const HOT: u64 = 4;
-    const KEYSPACE: u64 = 256;
-    let per_cell: u64 = if quick { 8_000 } else { 48_000 };
-    let seed: u64 = 0xE13_5EED;
-
-    // 80% of requests hit one of HOT keys (the skewed mix the coalescer
-    // folds), the rest spread uniformly over KEYSPACE.
-    fn skewed_key(n: u64) -> u64 {
-        if n % 10 < 8 {
-            n % HOT
-        } else {
-            HOT + (n >> 8) % (KEYSPACE - HOT)
-        }
-    }
-
-    fn mix(seed: u64, stream: u64) -> u64 {
-        let mut z = seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// One cell: fresh store + server, `conns` client threads each
-    /// pipelining `depth` increments per round. Returns requests/sec
-    /// and the server's counter snapshot; exits on any exactness miss.
-    fn run_cell(
-        conns: usize,
-        depth: usize,
-        dispatch: Dispatch,
-        per_cell: u64,
-        seed: u64,
-    ) -> (f64, ServerStats) {
-        let rounds = (per_cell / (conns as u64 * depth as u64)).max(1) as usize;
-        let store = Store::new(StoreConfig::new(8, 4, 1, KEYSPACE));
-        let config = ServerConfig::with_workers(1).dispatch(dispatch);
-        let server = Server::start(&store, config).unwrap_or_else(|e| {
-            eprintln!("mwllsc-harness: E13 cannot start server: {e}");
-            std::process::exit(2);
-        });
-        let addr = server.local_addr();
-
-        let barrier = std::sync::Barrier::new(conns + 1);
-        let (wall, acked) = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..conns)
-                .map(|t| {
-                    let barrier = &barrier;
-                    s.spawn(move || {
-                        let mut c = Client::connect(addr).unwrap();
-                        let mut acked = vec![0u64; KEYSPACE as usize];
-                        barrier.wait();
-                        for r in 0..rounds {
-                            let keys: Vec<u64> = (0..depth)
-                                .map(|i| {
-                                    let n = mix(seed, (t as u64) << 40 | (r * depth + i) as u64);
-                                    skewed_key(n)
-                                })
-                                .collect();
-                            for &k in &keys {
-                                c.send(&Request::Update { key: k, op: UpdateOp::Add(vec![1]) });
-                            }
-                            c.flush().unwrap();
-                            for &k in &keys {
-                                match c.recv().unwrap() {
-                                    Response::Value(_) => acked[k as usize] += 1,
-                                    other => {
-                                        eprintln!("mwllsc-harness: E13 bad reply: {other:?}");
-                                        std::process::exit(2);
-                                    }
-                                }
-                            }
-                        }
-                        acked
-                    })
-                })
-                .collect();
-            barrier.wait();
-            let start = Instant::now();
-            let per_thread: Vec<Vec<u64>> =
-                handles.into_iter().map(|h| h.join().unwrap()).collect();
-            (start.elapsed(), per_thread)
-        });
-
-        // Exactness over the wire: every acknowledged increment landed
-        // exactly once, across all concurrent pipelines.
-        let mut probe = Client::connect(addr).unwrap();
-        let keys: Vec<u64> = (0..KEYSPACE).collect();
-        let values = probe.mget(keys).unwrap().unwrap();
-        for k in 0..KEYSPACE as usize {
-            let expect: u64 = acked.iter().map(|a| a[k]).sum();
-            if values[k][0] != expect {
-                eprintln!(
-                    "mwllsc-harness: E13 exactness FAILED at key {k}: {} != {expect}",
-                    values[k][0]
-                );
-                std::process::exit(2);
-            }
-        }
-        drop(probe);
-
-        let stats = server.shutdown();
-        let total = (conns * depth * rounds) as f64;
-        (total / wall.as_secs_f64(), stats)
-    }
-
-    let grid: &[(usize, usize)] = if quick {
-        &[(4, 8), (8, 32)]
-    } else {
-        &[(1, 1), (1, 32), (4, 8), (8, 8), (8, 32), (16, 32)]
-    };
-
-    println!("### Requests/sec over loopback (1 worker, W = 1, skewed 80/20 key mix,");
-    println!("~{per_cell} UPDATEs per cell; single core — both modes share it with the clients)\n");
-
-    let mut t = Table::new([
-        "conns",
-        "depth",
-        "per-request",
-        "coalesced",
-        "speedup",
-        "mean write batch",
-        "waves",
-    ]);
-    let mut bench_cells: Vec<Cell> = Vec::new();
-    let mut flagship: Option<ServerStats> = None;
-    let mut flagship_speedup = 0.0f64;
-    for &(conns, depth) in grid {
-        let (rps_per, _) = run_cell(conns, depth, Dispatch::PerRequest, per_cell, seed);
-        let (rps_co, stats) = run_cell(conns, depth, Dispatch::Coalesced, per_cell, seed);
-        let speedup = rps_co / rps_per;
-        if conns >= 8 && depth >= 8 {
-            flagship = Some(stats);
-            flagship_speedup = speedup;
-        }
-        for (mode, rps) in [("per-request", rps_per), ("coalesced", rps_co)] {
-            let mut cell = Cell::new(format!("e13/conns={conns}/depth={depth}/{mode}"), true, rps);
-            if mode == "coalesced" {
-                cell = cell
-                    .counter("mean_write_batch", stats.mean_write_batch())
-                    .counter("waves", stats.waves as f64)
-                    .with_hist(stats.batch_hist.to_vec());
-            } else {
-                // Per-request dispatch coalesces nothing, by definition.
-                cell = cell.counter("mean_write_batch", 1.0).counter("waves", 0.0);
-            }
-            bench_cells.push(cell);
-        }
-        t.row([
-            conns.to_string(),
-            depth.to_string(),
-            fmt_ops(rps_per),
-            fmt_ops(rps_co),
-            format!("{speedup:.2}x"),
-            format!("{:.1}", stats.mean_write_batch()),
-            stats.waves.to_string(),
-        ]);
-    }
-    t.print();
-    println!();
-    if let Some(stats) = flagship {
-        let labels = ServerStats::hist_labels();
-        let hist = labels
-            .iter()
-            .zip(stats.batch_hist)
-            .map(|(l, n)| format!("{l}: {n}"))
-            .collect::<Vec<_>>()
-            .join(" · ");
-        println!("Batch-size histogram at the ≥8-conn deep-pipeline cell (coalesced):");
-        println!("{hist}\n");
-        println!("Shape check: depth-1 single-connection traffic has nothing to coalesce");
-        println!("(waves of one request — parity at best, and the wave bookkeeping can");
-        println!("cost a few percent on batches of one); once ≥ 8");
-        println!("connections pipeline ≥ 8 deep, each wave merges tens of requests into");
-        println!("one store batch and folds the hot keys' runs into single SC commits,");
-        println!("which is where the speedup column and the mean-write-batch column");
-        println!("come from.\n");
-        if flagship_speedup < 1.0 {
-            println!("NOTE: coalesced dispatch did not beat per-request at the flagship cell");
-            println!("this run; single-core timing noise — re-run on pinned hardware.\n");
-        }
-    }
-
-    // Machine-readable drop on the shared bench schema (`bench-diff`
-    // consumes it). The E16 flagship grid owns `BENCH_<rev>.json`, so
-    // the server grid drops alongside it with a `_server` suffix.
-    let rev = bench_rev();
-    let backend = Store::new(StoreConfig::new(1, 1, 1, 1)).backend();
-    let labels = ServerStats::hist_labels().join(", ");
-    let mut bench = BenchFile::new(
-        "e13-server",
-        &rev,
-        quick,
-        1,
-        &format!(
-            "backend={backend}; hist buckets are write-batch sizes: {labels}; \
-             per-request rows coalesce nothing (mean_write_batch=1, waves=0, no hist)"
-        ),
-    );
-    for c in bench_cells {
-        bench.push(c);
-    }
-    let path = format!("BENCH_{rev}_server.json");
-    match std::fs::write(&path, bench.to_json()) {
-        Ok(()) => println!("Wrote {path} (throughput, batch histogram, backend).\n"),
-        Err(e) => println!("NOTE: could not write {path}: {e}\n"),
-    }
-}
-
 /// E14 — the static tier: runs `mwllsc-lint` over the workspace in-process
 /// and reports per-rule counts. A clean tree prints an all-zero table; any
 /// finding is listed and the harness exits nonzero, same as CI's
@@ -1344,279 +1217,12 @@ pub fn e14_lint(_quick: bool) {
     }
 }
 
-/// E15 — the shared-nothing mesh: symmetric `StoreHandle` threads vs
-/// mesh `MeshHandle` callers on identical seeded skewed increment
-/// workloads, with an exactness gate (both modes must produce the same
-/// per-key sums), the ring-occupancy histogram, and a
-/// `BENCH_<rev>.json` drop.
-pub fn e15_mesh(quick: bool) {
-    use mwllsc_harness::bench_schema::{bench_rev, BenchFile, Cell};
-    use mwllsc_mesh::{InlineVal, Mesh, MeshConfig, MeshStats, UpdateKind, OCC_BUCKETS};
-
-    println!("## E15 — mwllsc-mesh: symmetric handles vs shared-nothing shard ownership\n");
-    println!("Claim: symmetric StoreHandles make every caller RMW every shard it");
-    println!("touches — cross-core coherence traffic on the X/Bank/Help lines grows");
-    println!("with callers. The mesh pins each shard to one worker thread and ships");
-    println!("operations over bounded SPSC rings instead, so a shard's cache lines");
-    println!("stay resident at their owner and cross-caller batching falls out of");
-    println!("the worker's drain-dispatch waves. Both modes run the *same* seeded");
-    println!("workload; the gate requires their per-key sums to be identical.\n");
-
-    const HOT: u64 = 4;
-    const KEYSPACE: u64 = 256;
-    const MESH_WORKERS: usize = 2;
-    let per_cell: u64 = if quick { 6_000 } else { 48_000 };
-    let seed: u64 = 0xE15_5EED;
-
-    // Same 80/20 skew as E13: the mix that makes cross-caller batching
-    // (and symmetric-mode contention) actually happen.
-    fn skewed_key(n: u64) -> u64 {
-        if n % 10 < 8 {
-            n % HOT
-        } else {
-            HOT + (n >> 8) % (KEYSPACE - HOT)
-        }
-    }
-
-    fn mix(seed: u64, stream: u64) -> u64 {
-        let mut z = seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// The caller's deterministic batch for round `r` — both modes call
-    /// this with the same seed, so their workloads are word-identical.
-    fn round_keys(seed: u64, caller: usize, r: usize, depth: usize) -> Vec<u64> {
-        (0..depth)
-            .map(|i| skewed_key(mix(seed, (caller as u64) << 40 | (r * depth + i) as u64)))
-            .collect()
-    }
-
-    fn check_exact(label: &str, got: &[u64], acked: &[Vec<u64>]) {
-        for k in 0..KEYSPACE as usize {
-            let expect: u64 = acked.iter().map(|a| a[k]).sum();
-            if got[k] != expect {
-                eprintln!(
-                    "mwllsc-harness: E15 exactness FAILED ({label}, key {k}): {} != {expect}",
-                    got[k]
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Symmetric cell: `callers` threads, each owning a plain
-    /// `StoreHandle`, committing `depth`-key batches directly. Returns
-    /// ops/sec and the per-key totals (for the cross-mode gate).
-    fn run_symmetric(callers: usize, depth: usize, per_cell: u64, seed: u64) -> (f64, Vec<u64>) {
-        let rounds = (per_cell / (callers as u64 * depth as u64)).max(1) as usize;
-        let store = Store::new(StoreConfig::new(8, 32, 1, KEYSPACE));
-        let barrier = std::sync::Barrier::new(callers + 1);
-        let (wall, acked) = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..callers)
-                .map(|t| {
-                    let (store, barrier) = (Arc::clone(&store), &barrier);
-                    s.spawn(move || {
-                        let mut h = store.attach();
-                        let mut acked = vec![0u64; KEYSPACE as usize];
-                        barrier.wait();
-                        for r in 0..rounds {
-                            let keys = round_keys(seed, t, r, depth);
-                            h.update_many_with(&keys, |_, v| v[0] += 1).unwrap_or_else(|e| {
-                                eprintln!("mwllsc-harness: E15 symmetric update: {e}");
-                                std::process::exit(2);
-                            });
-                            for &k in &keys {
-                                acked[k as usize] += 1;
-                            }
-                        }
-                        acked
-                    })
-                })
-                .collect();
-            barrier.wait();
-            let start = Instant::now();
-            let per_thread: Vec<Vec<u64>> =
-                handles.into_iter().map(|h| h.join().unwrap()).collect();
-            (start.elapsed(), per_thread)
-        });
-
-        let mut probe = store.attach();
-        let got: Vec<u64> =
-            (0..KEYSPACE).map(|k| probe.read_vec(k).expect("E15 probe read")[0]).collect();
-        check_exact("symmetric", &got, &acked);
-        let totals: Vec<u64> =
-            (0..KEYSPACE as usize).map(|k| acked.iter().map(|a| a[k]).sum()).collect();
-        ((callers * depth * rounds) as f64 / wall.as_secs_f64(), totals)
-    }
-
-    /// Mesh cell: the same workload, but `callers` hold `MeshHandle`s
-    /// and every operation crosses a ring to its shard's owning worker.
-    fn run_mesh(
-        callers: usize,
-        depth: usize,
-        per_cell: u64,
-        seed: u64,
-    ) -> (f64, Vec<u64>, MeshStats) {
-        let rounds = (per_cell / (callers as u64 * depth as u64)).max(1) as usize;
-        let store = Store::new(StoreConfig::new(8, 32, 1, KEYSPACE));
-        let mesh =
-            Mesh::try_new(Arc::clone(&store), MeshConfig::default().with_workers(MESH_WORKERS))
-                .unwrap_or_else(|e| {
-                    eprintln!("mwllsc-harness: E15 cannot start mesh: {e}");
-                    std::process::exit(2);
-                });
-        let barrier = std::sync::Barrier::new(callers + 1);
-        let (wall, acked) = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..callers)
-                .map(|t| {
-                    let (mesh, barrier) = (Arc::clone(&mesh), &barrier);
-                    s.spawn(move || {
-                        let mut h = mesh.attach();
-                        let mut acked = vec![0u64; KEYSPACE as usize];
-                        let one = InlineVal::from_slice(&[1]).unwrap();
-                        barrier.wait();
-                        for r in 0..rounds {
-                            let keys = round_keys(seed, t, r, depth);
-                            h.update_batch(&keys, &mut |_| (UpdateKind::Add, one), None)
-                                .unwrap_or_else(|e| {
-                                    eprintln!("mwllsc-harness: E15 mesh update: {e}");
-                                    std::process::exit(2);
-                                });
-                            for &k in &keys {
-                                acked[k as usize] += 1;
-                            }
-                        }
-                        acked
-                    })
-                })
-                .collect();
-            barrier.wait();
-            let start = Instant::now();
-            let per_thread: Vec<Vec<u64>> =
-                handles.into_iter().map(|h| h.join().unwrap()).collect();
-            (start.elapsed(), per_thread)
-        });
-
-        let mut probe = mesh.attach();
-        let got: Vec<u64> =
-            (0..KEYSPACE).map(|k| probe.read_vec(k).expect("E15 mesh probe read")[0]).collect();
-        check_exact("mesh", &got, &acked);
-        let totals: Vec<u64> =
-            (0..KEYSPACE as usize).map(|k| acked.iter().map(|a| a[k]).sum()).collect();
-        let stats = mesh.stats();
-        drop(probe);
-        mesh.shutdown();
-        if store.live_slot_leases() != 0 {
-            eprintln!("mwllsc-harness: E15 mesh shutdown leaked a shard-slot lease");
-            std::process::exit(2);
-        }
-        ((callers * depth * rounds) as f64 / wall.as_secs_f64(), totals, stats)
-    }
-
-    let grid: &[(usize, usize)] =
-        if quick { &[(2, 8), (4, 32)] } else { &[(1, 1), (2, 8), (4, 8), (4, 32), (8, 32)] };
-
-    println!("### Increments/sec, {MESH_WORKERS} mesh workers, W = 1, skewed 80/20 key mix,");
-    println!("~{per_cell} ops per cell (symmetric = callers committing directly; mesh =");
-    println!("the same callers forwarding over rings to shard owners)\n");
-
-    let mut t =
-        Table::new(["callers", "depth", "symmetric", "mesh", "ratio", "entries/msg", "waves"]);
-    let mut bench_cells: Vec<Cell> = Vec::new();
-    let mut flagship: Option<MeshStats> = None;
-    for &(callers, depth) in grid {
-        let (rps_sym, sums_sym) = run_symmetric(callers, depth, per_cell, seed);
-        let (rps_mesh, sums_mesh, stats) = run_mesh(callers, depth, per_cell, seed);
-        // The cross-mode gate: same seed, same workload, same sums.
-        if sums_sym != sums_mesh {
-            eprintln!("mwllsc-harness: E15 modes diverged on identical workloads");
-            std::process::exit(2);
-        }
-        let packing = stats.entries as f64 / (stats.msgs.max(1)) as f64;
-        for (mode, rps) in [("symmetric", rps_sym), ("mesh", rps_mesh)] {
-            let mut cell =
-                Cell::new(format!("e15/callers={callers}/depth={depth}/{mode}"), true, rps);
-            if mode == "mesh" {
-                cell = cell
-                    .counter("entries", stats.entries as f64)
-                    .counter("msgs", stats.msgs as f64)
-                    .counter("waves", stats.waves as f64)
-                    .with_hist(stats.occ_hist.to_vec());
-            }
-            bench_cells.push(cell);
-        }
-        if callers >= 4 && depth >= 32 {
-            flagship = Some(stats.clone());
-        }
-        t.row([
-            callers.to_string(),
-            depth.to_string(),
-            fmt_ops(rps_sym),
-            fmt_ops(rps_mesh),
-            format!("{:.2}x", rps_mesh / rps_sym),
-            format!("{packing:.2}"),
-            stats.waves.to_string(),
-        ]);
-    }
-    t.print();
-    println!();
-    if let Some(stats) = flagship {
-        let hist = (1..OCC_BUCKETS)
-            .filter(|&b| stats.occ_hist[b] > 0)
-            .map(|b| {
-                let lo = 1u64 << (b - 1);
-                let hi = (1u64 << b) - 1;
-                if lo == hi {
-                    format!("{lo}: {}", stats.occ_hist[b])
-                } else {
-                    format!("{lo}-{hi}: {}", stats.occ_hist[b])
-                }
-            })
-            .collect::<Vec<_>>()
-            .join(" · ");
-        println!("Ring-occupancy histogram at the deep-pipeline cell (drain-time samples");
-        println!("of nonempty request rings): {hist}\n");
-    }
-    println!("Shape check: entries/msg > 1 means the caller's batch packer folded");
-    println!("consecutive same-owner keys into shared ring slots, and entries/wave");
-    println!("(entries ÷ waves) is the cross-caller batch the owning worker handed");
-    println!("the store in one dispatch. On a single core the mesh pays its ring");
-    println!("round-trips with no parallelism to amortize them — the ratio column");
-    println!("is expected to favor symmetric there; the coherence-traffic claim");
-    println!("needs a pinned multi-core re-measurement.\n");
-
-    // Machine-readable drop on the shared bench schema, alongside E13's
-    // `_server` and E16's flagship files.
-    let rev = bench_rev();
-    let backend = Store::new(StoreConfig::new(1, 1, 1, 1)).backend();
-    let mut bench = BenchFile::new(
-        "e15-mesh",
-        &rev,
-        quick,
-        1,
-        &format!(
-            "backend={backend}; mesh_workers={MESH_WORKERS}; hist buckets are log2 ring \
-             occupancy, bucket b covers 2^(b-1)..2^b-1, empty rings unsampled; symmetric \
-             rows have no ring counters"
-        ),
-    );
-    for c in bench_cells {
-        bench.push(c);
-    }
-    let path = format!("BENCH_{rev}_mesh.json");
-    match std::fs::write(&path, bench.to_json()) {
-        Ok(()) => println!("Wrote {path} (both modes' rps, packing, occupancy histogram).\n"),
-        Err(e) => println!("NOTE: could not write {path}: {e}\n"),
-    }
-}
-
 /// E16 — the YCSB-style perf-trajectory grid: seeded key distributions
 /// (zipfian / uniform / 80-20 hot set) and read-update mixes A–C over
 /// three store backends, the server loopback path (both dispatch
-/// modes), the mesh, a handle-churn storm and an update-batch-size
-/// sweep. Every cell doubles as a correctness run — keys are preloaded
+/// modes), the mesh, a handle-churn storm, an update-batch-size sweep,
+/// and the server conns × depth and store-vs-mesh callers × depth
+/// sweeps. Every cell doubles as a correctness run — keys are preloaded
 /// to `k + 1` and per-key acked sums are checked exactly after the
 /// clock stops — and the grid lands in the versioned `BENCH_<rev>.json`
 /// that the `bench-diff` regression gate consumes.
@@ -2065,7 +1671,9 @@ pub fn e16_ycsb(quick: bool) {
         "grid: backends jp-waitfree/seqlock/lock x mixes A(50/50 read-update)/B(95/5)/\
          C(read-only) on zipfian(0.99), plus uniform / 80-20 hot-set / handle-churn \
          variants, an update-only batch sweep (U, batch=4|32|256), the server loopback \
-         path (coalesced + per-request) and the 2-worker mesh; KEYS=8192, W=1; rps is \
+         path (coalesced + per-request) and the 2-worker mesh, plus update-only hot4 \
+         (80% of draws on 4 keys) sweeps of server conns x depth (both dispatch modes) \
+         and store vs mesh callers x depth; KEYS=8192, W=1; rps is \
          best-of-repeats (min-of-k); p50/p99 are per-op amortized from pipelined rounds; \
          hist on server cells is write-batch sizes (1, 2-3, ..., 128+), on mesh cells \
          log2 ring occupancy; every key preloaded to k+1 and per-key acked sums checked \
@@ -2085,15 +1693,55 @@ pub fn e16_ycsb(quick: bool) {
         bench.push(cell);
     };
 
+    // One best-of-repeats cell per store backend, server path and mesh;
+    // the server and mesh cells carry the last repeat's stats as
+    // counters.
+    let store_cell = |algo: Algo, mix, dist, callers, depth, churn| {
+        best_of(repeats, || {
+            let store = try_build_store(algo, StoreConfig::new(8, 8, 1, KEYS))
+                .unwrap_or_else(|e| fail("build store", e));
+            run_store_cell(&*store, mix, dist, callers, depth, ops, churn, seed)
+        })
+    };
+    let server_cell = |id: String, mix, dist, dispatch, conns, depth| {
+        let mut stats: Option<ServerStats> = None;
+        let m = best_of(repeats, || {
+            let (m, s) = run_server_cell(mix, dist, dispatch, conns, depth, ops, seed);
+            stats = Some(s);
+            m
+        });
+        let mut cell = cell_of(id, &m);
+        if let (Some(s), Dispatch::Coalesced) = (stats, dispatch) {
+            cell = cell
+                .counter("mean_write_batch", s.mean_write_batch())
+                .counter("waves", s.waves as f64)
+                .with_hist(s.batch_hist.to_vec());
+        }
+        (cell, m)
+    };
+    let mesh_cell = |id: String, mix, dist, callers, depth| {
+        let mut stats: Option<MeshStats> = None;
+        let m = best_of(repeats, || {
+            let (m, s) = run_mesh_cell(mix, dist, callers, depth, ops, seed);
+            stats = Some(s);
+            m
+        });
+        let mut cell = cell_of(id, &m);
+        if let Some(s) = stats {
+            cell = cell
+                .counter("entries", s.entries as f64)
+                .counter("msgs", s.msgs as f64)
+                .counter("waves", s.waves as f64)
+                .with_hist(s.occ_hist.to_vec());
+        }
+        (cell, m)
+    };
+
     // Backend x mix over the YCSB-default zipfian skew.
     for algo in [Algo::Jp, Algo::SeqLock, Algo::Lock] {
         for mix in [MIX_A, MIX_B, MIX_C] {
             let id = format!("e16/store/{}/{}/zipf", algo.name(), mix.name);
-            let m = best_of(repeats, || {
-                let store = try_build_store(algo, StoreConfig::new(8, 8, 1, KEYS))
-                    .unwrap_or_else(|e| fail("build store", e));
-                run_store_cell(&*store, mix, ZIPF, CALLERS, DEPTH, ops, false, seed)
-            });
+            let m = store_cell(algo, mix, ZIPF, CALLERS, DEPTH, false);
             push_cell(cell_of(id, &m), &m);
         }
     }
@@ -2106,26 +1754,19 @@ pub fn e16_ycsb(quick: bool) {
     ];
     for &(tag, dist, churn) in variants {
         let id = format!("e16/store/jp-waitfree/A/{tag}");
-        let m = best_of(repeats, || {
-            let store = try_build_store(Algo::Jp, StoreConfig::new(8, 8, 1, KEYS))
-                .unwrap_or_else(|e| fail("build store", e));
-            run_store_cell(&*store, MIX_A, dist, CALLERS, DEPTH, ops, churn, seed)
-        });
+        let m = store_cell(Algo::Jp, MIX_A, dist, CALLERS, DEPTH, churn);
         push_cell(cell_of(id, &m), &m);
     }
 
     // Update-only batch-size sweep: the store's update_many economics.
     for batch in [4usize, 32, 256] {
         let id = format!("e16/store/jp-waitfree/U/zipf/batch={batch}");
-        let m = best_of(repeats, || {
-            let store = try_build_store(Algo::Jp, StoreConfig::new(8, 8, 1, KEYS))
-                .unwrap_or_else(|e| fail("build store", e));
-            run_store_cell(&*store, MIX_U, ZIPF, CALLERS, batch, ops, false, seed)
-        });
+        let m = store_cell(Algo::Jp, MIX_U, ZIPF, CALLERS, batch, false);
         push_cell(cell_of(id, &m).counter("batch", batch as f64), &m);
     }
 
-    // The server loopback path, both dispatch modes.
+    // The server loopback path and the mesh (shard ownership over rings,
+    // 2 workers).
     let server_cells: &[(MixSpec, Dispatch, &str)] = &[
         (MIX_A, Dispatch::Coalesced, "coalesced"),
         (MIX_A, Dispatch::PerRequest, "per-request"),
@@ -2133,55 +1774,85 @@ pub fn e16_ycsb(quick: bool) {
     ];
     for &(mix, dispatch, tag) in server_cells {
         let id = format!("e16/server/{}/zipf/{tag}", mix.name);
-        let mut last_stats: Option<ServerStats> = None;
-        let m = best_of(repeats, || {
-            let (m, stats) = run_server_cell(mix, ZIPF, dispatch, CONNS, SERVER_DEPTH, ops, seed);
-            last_stats = Some(stats);
-            m
-        });
-        let mut cell = cell_of(id, &m);
-        if let (Some(stats), Dispatch::Coalesced) = (last_stats, dispatch) {
-            cell = cell
-                .counter("mean_write_batch", stats.mean_write_batch())
-                .counter("waves", stats.waves as f64)
-                .with_hist(stats.batch_hist.to_vec());
-        }
+        let (cell, m) = server_cell(id, mix, ZIPF, dispatch, CONNS, SERVER_DEPTH);
+        push_cell(cell, &m);
+    }
+    for mix in [MIX_A, MIX_B] {
+        let (cell, m) = mesh_cell(format!("e16/mesh/{}/zipf", mix.name), mix, ZIPF, CALLERS, DEPTH);
         push_cell(cell, &m);
     }
 
-    // The mesh path: shard ownership over rings, 2 workers.
-    for mix in [MIX_A, MIX_B] {
-        let id = format!("e16/mesh/{}/zipf", mix.name);
-        let mut last_stats: Option<MeshStats> = None;
-        let m = best_of(repeats, || {
-            let (m, stats) = run_mesh_cell(mix, ZIPF, CALLERS, DEPTH, ops, seed);
-            last_stats = Some(stats);
-            m
-        });
-        let mut cell = cell_of(id, &m);
-        if let Some(s) = last_stats {
-            cell = cell
-                .counter("entries", s.entries as f64)
-                .counter("msgs", s.msgs as f64)
-                .counter("waves", s.waves as f64)
-                .with_hist(s.occ_hist.to_vec());
+    // The connection/caller x pipeline-depth sweeps: update-only traffic
+    // with 80% of draws on 4 hot keys, the skew that makes equal-key
+    // folding (server waves, mesh packing) happen. Store and mesh cells
+    // at one point replay the same seeded streams, so their exact sums
+    // agree as well.
+    const HOT4: KeyDist = KeyDist::HotSet { hot: 4, hot_pct: 80 };
+    let server_sweep: &[(usize, usize)] = if quick {
+        &[(4, 8), (8, 32)]
+    } else {
+        &[(1, 1), (1, 32), (4, 8), (8, 8), (8, 32), (16, 32)]
+    };
+    let mesh_sweep: &[(usize, usize)] =
+        if quick { &[(2, 8), (4, 32)] } else { &[(1, 1), (2, 8), (4, 8), (4, 32), (8, 32)] };
+    for &(conns, depth) in server_sweep {
+        for (dispatch, tag) in
+            [(Dispatch::Coalesced, "coalesced"), (Dispatch::PerRequest, "per-request")]
+        {
+            let id = format!("e16/server/U/hot4/conns={conns}/depth={depth}/{tag}");
+            let (cell, m) = server_cell(id, MIX_U, HOT4, dispatch, conns, depth);
+            push_cell(cell, &m);
         }
+    }
+    for &(callers, depth) in mesh_sweep {
+        let id = format!("e16/store/jp-waitfree/U/hot4/callers={callers}/depth={depth}");
+        let m = store_cell(Algo::Jp, MIX_U, HOT4, callers, depth, false);
+        push_cell(cell_of(id, &m), &m);
+        let id = format!("e16/mesh/U/hot4/callers={callers}/depth={depth}");
+        let (cell, m) = mesh_cell(id, MIX_U, HOT4, callers, depth);
         push_cell(cell, &m);
     }
 
     println!(
         "### {} cells, ~{ops} ops/cell, best of {repeats} repeats (min-of-k), \
-         {CALLERS} callers / {CONNS} conns, KEYS = {KEYS}\n",
+         {CALLERS} callers / {CONNS} conns outside the sweeps, KEYS = {KEYS}\n",
         bench.cells.len()
     );
     t.print();
     println!();
-    println!("Shape check: C > B > A per backend (reads are wait-free snapshots, updates");
-    println!("pay LL/SC commits); jp-waitfree tracks seqlock within a small factor and");
-    println!("both beat the global lock under the update mixes; batch=256 amortizes");
-    println!("per-batch overheads over batch=4; the churn column prices a fresh");
-    println!("shard-slot lease per round. Single core — mesh and server cells pay their");
-    println!("ring/socket round-trips with no parallelism to amortize them.\n");
+
+    // Shape check: ratios between this run's own cells, so the text can
+    // never drift from the table above it.
+    let rps = |id: String| bench.cell(&id).expect("cell pushed above").rps;
+    let mut shape = Table::new(["ratio", "at", "value"]);
+    let mut ratio =
+        |what: &str, at: String, x: f64| shape.row([what.to_string(), at, format!("{x:.2}x")]);
+    for algo in [Algo::Jp, Algo::SeqLock, Algo::Lock] {
+        let b = algo.name();
+        let x = rps(format!("e16/store/{b}/C/zipf")) / rps(format!("e16/store/{b}/A/zipf"));
+        ratio("C / A", b.to_string(), x);
+    }
+    for mix in [MIX_A, MIX_B, MIX_C] {
+        let m = mix.name;
+        let x = rps(format!("e16/store/jp-waitfree/{m}/zipf"))
+            / rps(format!("e16/store/seqlock/{m}/zipf"));
+        ratio("jp-waitfree / seqlock", format!("{m}/zipf"), x);
+    }
+    for &(conns, depth) in server_sweep {
+        let at = format!("conns={conns}/depth={depth}");
+        let x = rps(format!("e16/server/U/hot4/{at}/coalesced"))
+            / rps(format!("e16/server/U/hot4/{at}/per-request"));
+        ratio("coalesced / per-request", format!("U/hot4/{at}"), x);
+    }
+    for &(callers, depth) in mesh_sweep {
+        let at = format!("callers={callers}/depth={depth}");
+        let x = rps(format!("e16/mesh/U/hot4/{at}"))
+            / rps(format!("e16/store/jp-waitfree/U/hot4/{at}"));
+        ratio("mesh / store", format!("U/hot4/{at}"), x);
+    }
+    println!("Shape check, from this run's cells (rps ratios):\n");
+    shape.print();
+    println!();
 
     let path = format!("BENCH_{rev}.json");
     match std::fs::write(&path, bench.to_json()) {
@@ -2208,11 +1879,10 @@ pub fn all(quick: bool) {
     e6_linearizability(quick);
     e7_helping(quick);
     e8_compare(quick);
+    e9_reclamation(quick);
     e10_store(quick);
     e11_backends(quick);
-    e13_server(quick);
     e14_lint(quick);
-    e15_mesh(quick);
     e16_ycsb(quick);
     #[cfg(mwllsc_model)]
     e12_model(quick);

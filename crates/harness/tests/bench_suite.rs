@@ -1,12 +1,12 @@
 //! Fixture suite for the bench schema + `bench-diff` gate: the
 //! end-to-end properties CI relies on — deterministic canonical JSON,
-//! version gating, legacy migration, and the verdict taxonomy
+//! version gating, and the verdict taxonomy
 //! (improvement / regression / within-noise / missing-cell /
 //! schema-mismatch) exercised through real serialized files rather
 //! than in-memory structs.
 
 use mwllsc_harness::bench_diff::{diff, DiffConfig, Verdict};
-use mwllsc_harness::bench_schema::{migrate_legacy, BenchFile, Cell, SchemaError, SCHEMA_VERSION};
+use mwllsc_harness::bench_schema::{BenchFile, Cell, SchemaError, SCHEMA_VERSION};
 
 /// A baseline-shaped file with the given `(id, rps)` cells.
 fn bench(cells: &[(&str, f64)]) -> BenchFile {
@@ -125,41 +125,6 @@ fn exactness_gate_failure_fails_even_at_parity() {
     let report = diff(&old, &new, &cfg).expect("diff");
     assert_eq!(report.gate_failures, vec!["a".to_string()]);
     assert!(report.failed(&cfg));
-}
-
-/// Legacy migration: a miniature PR 7-shaped e13 file lifts onto the
-/// current schema with grid-coordinate cell ids, and migrating an
-/// already-versioned file is refused.
-#[test]
-fn legacy_e13_migrates_onto_the_schema() {
-    let legacy = r#"{
-  "experiment": "e13-server",
-  "rev": "pr7",
-  "quick": false,
-  "backend": "jp-waitfree",
-  "host": {"os": "linux", "arch": "x86_64", "cores": 8, "mode": "release"},
-  "batch_hist_labels": ["1", "2-3", "4-7", "8-15", "16-31", "32-63", "64-127", "128+"],
-  "rows": [
-    {"conns": 8, "depth": 32, "dispatch": "coalesced", "rps": 1500000,
-     "mean_write_batch": 24.5, "waves": 1200, "batch_hist": [1,2,3,4,5,6,7,8]},
-    {"conns": 8, "depth": 32, "dispatch": "per-request", "rps": 800000,
-     "mean_write_batch": 1.00, "waves": 0, "batch_hist": []}
-  ]
-}"#;
-    let migrated = migrate_legacy(legacy).expect("migrate");
-    assert_eq!(migrated.schema_version, SCHEMA_VERSION);
-    assert_eq!(migrated.experiment, "e13-server");
-    assert_eq!(migrated.rev, "pr7");
-    let co = migrated.cell("e13/conns=8/depth=32/coalesced").expect("coalesced cell");
-    assert_eq!(co.rps, 1_500_000.0);
-    assert_eq!(co.counters["mean_write_batch"], 24.5);
-    assert_eq!(co.hist, vec![1, 2, 3, 4, 5, 6, 7, 8]);
-    assert!(migrated.cell("e13/conns=8/depth=32/per-request").is_some());
-    // The migrated form round-trips like any native file.
-    let json = migrated.to_json();
-    assert_eq!(BenchFile::from_json(&json).expect("reparse").to_json(), json);
-    // Migrating a current-schema file is an error, not a no-op.
-    assert!(matches!(migrate_legacy(&json), Err(SchemaError::UnknownLegacy(_))));
 }
 
 /// Mispaired files (disjoint grids) are a hard error — the gate must

@@ -4,8 +4,8 @@
 //! Every shared-memory access the `llsc-word` and `mwllsc` crates perform
 //! goes through the types re-exported here instead of using
 //! `std::sync::atomic` directly. In a normal build the re-exports *are*
-//! the std types (a zero-cost facade — asserted by a `TypeId` guard in the
-//! tests and in `crates/bench`). When the workspace is compiled with
+//! the std types (a zero-cost facade — asserted by a `TypeId` and layout
+//! guard in the tests). When the workspace is compiled with
 //! `RUSTFLAGS='--cfg mwllsc_model'`, the re-exports switch to the
 //! instrumented types in [`model`], which trap every load, store, RMW,
 //! fence, and yield point into a pluggable per-thread [`hook::StepHook`]
@@ -724,6 +724,10 @@ mod tests {
         assert_eq!(TypeId::of::<AtomicUsize>(), TypeId::of::<std::sync::atomic::AtomicUsize>());
         assert_eq!(TypeId::of::<AtomicBool>(), TypeId::of::<std::sync::atomic::AtomicBool>());
         assert_eq!(TypeId::of::<AtomicPtr<u8>>(), TypeId::of::<std::sync::atomic::AtomicPtr<u8>>());
+        // Layout on top of identity: a facade atomic costs exactly one
+        // machine word.
+        assert_eq!(std::mem::size_of::<AtomicU64>(), std::mem::size_of::<u64>());
+        assert_eq!(std::mem::align_of::<AtomicU64>(), std::mem::align_of::<u64>());
     }
 
     #[test]
