@@ -229,6 +229,7 @@ mod tests {
 
     #[test]
     fn every_algo_builds_and_operates() {
+        let _gate = crate::testgate();
         for algo in Algo::ALL {
             let (mut handles, space) = build(algo, 3, 2, &[10, 20]);
             assert_eq!(handles.len(), 3);
@@ -287,6 +288,7 @@ mod tests {
 
     #[test]
     fn try_build_store_serves_every_algo() {
+        let _gate = crate::testgate();
         for algo in Algo::ALL {
             let store = try_build_store(algo, StoreConfig::new(4, 2, 2, 1 << 20))
                 .unwrap_or_else(|e| panic!("{algo}: {e}"));

@@ -35,6 +35,15 @@ mod ptrswap;
 mod seqlock;
 mod traits;
 
+/// Serializes the unit tests that retire ptr-swap nodes: the epoch limbo
+/// is process-global, so one test's collection can free another test's
+/// nodes between two of its reads of a node counter.
+#[cfg(test)]
+pub(crate) fn testgate() -> std::sync::MutexGuard<'static, ()> {
+    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 pub use am_style::{AmHandle, AmStyleBackend, AmStyleLlSc};
 pub use factory::{build, try_build, try_build_store, Algo};
 pub use lock::{LockBackend, LockHandle, LockLlSc};

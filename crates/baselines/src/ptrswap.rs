@@ -233,6 +233,7 @@ mod tests {
 
     #[test]
     fn semantics() {
+        let _gate = crate::testgate();
         let obj = PtrSwapLlSc::new(2, 3, &[1, 2, 3]);
         let mut hs = obj.handles();
         let mut v = [0u64; 3];
@@ -248,6 +249,7 @@ mod tests {
 
     #[test]
     fn concurrent_counter_exact() {
+        let _gate = crate::testgate();
         let obj = PtrSwapLlSc::new(4, 2, &[0, 0]);
         let handles = obj.handles();
         let mut joins = Vec::new();
@@ -271,6 +273,7 @@ mod tests {
 
     #[test]
     fn sustained_swaps_keep_memory_bounded() {
+        let _gate = crate::testgate();
         let obj = PtrSwapLlSc::new(1, 2, &[0, 0]);
         let mut h = obj.claim(0);
         let mut v = [0u64; 2];
@@ -285,6 +288,7 @@ mod tests {
 
     #[test]
     fn space_reports_limbo_backlog_honestly() {
+        let _gate = crate::testgate();
         let obj = PtrSwapLlSc::new(1, 4, &[0; 4]);
         let mut h = obj.claim(0);
         let mut v = [0u64; 4];

@@ -119,9 +119,9 @@ impl<C: NewCell> Handle<C> {
         let xr = self.x_rec;
 
         // Line 12: if (LL(Bank[x_p.seq]) != x_p.buf) ∧ VL(X)
-        let bank_s = &o.bank[xr.seq as usize];
+        let bank_s = o.bank(xr.seq as usize);
         let (bv, b_link) = bank_s.ll();
-        if bv != u64::from(xr.buf) && o.x.vl(x_link) {
+        if bv != u64::from(xr.buf) && o.x().vl(x_link) {
             // Line 13: SC(Bank[x_p.seq], x_p.buf)
             if bank_s.sc(b_link, u64::from(xr.buf)) {
                 Counters::bump(&o.counters.bank_fixups);
@@ -130,10 +130,10 @@ impl<C: NewCell> Handle<C> {
 
         // Line 14: if (LL(Help[x_p.seq mod N]) ≡ (1, d)) ∧ VL(X)
         let q = lay.helpee(xr.seq);
-        let help_q = &o.help[q];
+        let help_q = o.help(q);
         let (hv, h_link) = help_q.ll();
         let h = lay.unpack_help(hv);
-        if h.helpme && o.x.vl(x_link) {
+        if h.helpme && o.x().vl(x_link) {
             // Line 15: if SC(Help[q], (0, mybuf_p))
             if help_q.sc(h_link, lay.pack_help(HelpRecord { helpme: false, buf: self.mybuf })) {
                 Counters::bump(&o.counters.helps_given);
@@ -147,10 +147,10 @@ impl<C: NewCell> Handle<C> {
 
         // Line 18: e = Bank[(x_p.seq + 1) mod 2N]
         let next = lay.next_seq(xr.seq);
-        let e = o.bank[next as usize].read();
+        let e = o.bank(next as usize).read();
 
         // Line 19: if SC(X, (mybuf_p, (x_p.seq + 1) mod 2N))
-        if o.x.sc(x_link, lay.pack_x(XRecord { buf: self.mybuf, seq: next })) {
+        if o.x().sc(x_link, lay.pack_x(XRecord { buf: self.mybuf, seq: next })) {
             Counters::bump(&o.counters.sc_successes);
             // Line 20: mybuf_p = e — take over the buffer whose value just
             // aged out of the 2N-deep history; it is now safe to reuse.
@@ -174,7 +174,7 @@ impl<C: NewCell> Handle<C> {
         let x_link = self.x_link.expect("vl: no preceding ll on this handle");
         Counters::bump(&self.obj.counters.vl_ops);
         // Line 23: return VL(X).
-        self.obj.x.vl(x_link)
+        self.obj.x().vl(x_link)
     }
 
     /// Reads the current value into `out` **without** linking: the outcome
@@ -229,17 +229,17 @@ impl<C: NewCell> Handle<C> {
         let lay = o.layout;
 
         // Line 1: Help[p] = (1, mybuf_p) — announce, offering our buffer.
-        o.help[p].write(lay.pack_help(HelpRecord { helpme: true, buf: self.mybuf }));
+        o.help(p).write(lay.pack_help(HelpRecord { helpme: true, buf: self.mybuf }));
 
         // Line 2: x_p = LL(X).
-        let (xv, mut x_link) = o.x.ll();
+        let (xv, mut x_link) = o.x().ll();
         let mut xr = lay.unpack_x(xv);
 
         // Line 3: copy BUF[x_p.buf] into *retval.
         o.bufs.get(xr.buf as usize).copy_to(out);
 
         // Line 4: if LL(Help[p]) ≡ (0, b) — someone helped us already.
-        let (hv4, _link4) = o.help[p].ll();
+        let (hv4, _link4) = o.help(p).ll();
         let h4 = lay.unpack_help(hv4);
         if !h4.helpme {
             Counters::bump(&o.counters.lls_helped);
@@ -248,7 +248,7 @@ impl<C: NewCell> Handle<C> {
             // Line 5: x_p = LL(X) — re-read; the helper's value may be
             // stale, and returning a stale value with a live link would
             // violate obligation O2.
-            let (xv5, x_link5) = o.x.ll();
+            let (xv5, x_link5) = o.x().ll();
             xr = lay.unpack_x(xv5);
             x_link = x_link5;
 
@@ -259,19 +259,19 @@ impl<C: NewCell> Handle<C> {
             // the line-6 read may be torn, but the donated value is valid,
             // and since X changed, our subsequent SC will fail either way
             // (O2 satisfied with the older-but-valid value).
-            if !o.x.vl(x_link) {
+            if !o.x().vl(x_link) {
                 Counters::bump(&o.counters.lls_rescued);
                 o.bufs.get(b as usize).copy_to(out);
             }
         }
 
         // Line 8: if LL(Help[p]) ≡ (1, c) — not helped yet: withdraw.
-        let (hv8, h_link8) = o.help[p].ll();
+        let (hv8, h_link8) = o.help(p).ll();
         let h8 = lay.unpack_help(hv8);
         if h8.helpme {
             // Line 9: SC(Help[p], (0, c)). Failure means a helper slipped
             // in between lines 8 and 9; line 10 picks up its donation.
-            if !o.help[p].sc(h_link8, lay.pack_help(HelpRecord { helpme: false, buf: h8.buf })) {
+            if !o.help(p).sc(h_link8, lay.pack_help(HelpRecord { helpme: false, buf: h8.buf })) {
                 Counters::bump(&o.counters.withdraw_races);
             }
         }
@@ -279,7 +279,7 @@ impl<C: NewCell> Handle<C> {
         // Line 10: mybuf_p = Help[p].buf — our own buffer if the withdrawal
         // won, the helper's donated buffer if we were helped (ownership
         // exchange completes here).
-        self.mybuf = lay.unpack_help(o.help[p].read()).buf;
+        self.mybuf = lay.unpack_help(o.help(p).read()).buf;
 
         // Line 11: copy *retval into BUF[mybuf_p] — stash the value we are
         // about to return in our own buffer so that our subsequent SC can
@@ -297,13 +297,13 @@ impl<C: NewCell> Handle<C> {
         let o = &*self.obj;
         let lay = o.layout;
         loop {
-            let (xv, x_link) = o.x.ll();
+            let (xv, x_link) = o.x().ll();
             let xr = lay.unpack_x(xv);
             o.bufs.get(xr.buf as usize).copy_to(out);
             // If X is unchanged, fewer than 2N successful SCs occurred
             // during the copy (in fact zero), so the buffer was stable and
             // `out` is the value current at the LL of X.
-            if o.x.vl(x_link) {
+            if o.x().vl(x_link) {
                 return (xr, x_link);
             }
         }

@@ -1,19 +1,32 @@
-//! Cache-line padding for contended cells.
+//! Cache-line padding for per-shard and per-ring words.
 //!
-//! The algorithm's hot words — `X` (hit by every LL and SC), the `Help`
-//! mailboxes (written by announcing readers and helping writers), and the
-//! slot-registry lease words (hit by every attach/claim/drop) — are each a
-//! single `AtomicU64` under the hood. Packed contiguously they share cache
-//! lines, so a process bumping its own `Help[p]` invalidates the line
-//! holding its neighbours' mailboxes and every core pays coherence traffic
-//! for writes it never observes logically (*false sharing*). At high core
-//! counts this dominates the cost of the otherwise-O(1) shared accesses.
+//! [`CachePadded`] gives a value its own aligned block, so writes to it
+//! never invalidate the cache line holding its neighbours (*false
+//! sharing*). The alignment is 128 bytes, not 64: modern x86 prefetches
+//! cache lines in adjacent pairs (and Apple/ARM server parts use 128-byte
+//! lines outright), so 64-byte padding still ping-pongs under the
+//! adjacent-line prefetcher — the same reasoning behind
+//! `crossbeam_utils::CachePadded`.
 //!
-//! [`CachePadded`] gives each such cell its own aligned block. The
-//! alignment is 128 bytes, not 64: modern x86 prefetches cache lines in
-//! adjacent pairs (and Apple/ARM server parts use 128-byte lines
-//! outright), so 64-byte padding still ping-pongs under the adjacent-line
-//! prefetcher — the same reasoning behind `crossbeam_utils::CachePadded`.
+//! What is padded: the store's shards (each carries operation counters
+//! that its callers bump on every op) and the mesh ring's `head` and
+//! `tail` indices (each written by one side and polled by the other).
+//! There are a handful of each per process, so the slack is a constant.
+//!
+//! What is not: the words of one `MwLlSc` — `X`, `Bank`, `Help` and the
+//! slot-registry lease words. They are per-key words, so padding them
+//! multiplies a store's footprint by the key count: a store key at
+//! `N = 4`, `W = 1` costs 2127 bytes of RSS padded and 592 unpadded. The
+//! price shows when several cores hammer one object. On a 2-vCPU x86-64
+//! VM, E8's `W = 2` storm at `N = 2` fell from 1.57 to 0.92 Mops/s for
+//! `jp-waitfree` (medians of 20 quick runs each), and padding only `Help`
+//! brought it back to 1.35: the `Help[p]` mailboxes false-share. In 5
+//! other runs, where both builds ran near 10 Mops/s, `jp-waitfree` fell
+//! from 9.4 to 6.9 and `jp-retry-ll`, which writes no `Help`, from 13.9
+//! to 9.8. E16's `hot4` store cells, four hot keys under two or four
+//! callers, rose from 4.4 to 6.0 and from 4.9 to 7.3 Mops/s on the same
+//! host. `X` gets no line of its own because every op reads it, so a
+//! successful SC invalidates it for every process whatever sits beside it.
 //!
 //! Padding is a *layout* choice, not algorithm state: the space accounting
 //! in [`SpaceReport`](crate::SpaceReport) and

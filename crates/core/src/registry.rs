@@ -21,12 +21,12 @@
 //! handles come and go. Other consumers (the sharded store) use the payload
 //! as an opaque token.
 //!
-//! Each slot word is [`CachePadded`]: lease/release traffic on one slot
-//! must not invalidate the cache line holding its neighbours' words, or the
-//! lock-free scan in [`lease_any`](SlotRegistry::lease_any) would serialize
-//! attachers at high core counts.
+//! The slot words are one unpadded `[AtomicU64]`. A lease or release
+//! writes one slot once per handle lifetime, not once per op, so the line
+//! it shares with neighbouring slots sees rare writes; padding each word
+//! to 128 bytes would cost 120 bytes per process slot in every object and
+//! every store shard.
 
-use crate::pad::CachePadded;
 use crate::sync::{AtomicU64, AtomicUsize, Labeled, Ordering};
 
 /// Bit marking a slot as currently leased; the low 32 bits hold the
@@ -77,9 +77,9 @@ impl std::error::Error for AttachError {}
 /// assert_eq!(r.lease_exact(p), Some(7), "the payload travels with the slot");
 /// ```
 pub struct SlotRegistry {
-    /// Per-slot word: [`LEASED`] bit plus the resting payload. Padded so
-    /// lease churn on one slot leaves its neighbours' cache lines alone.
-    slots: Box<[CachePadded<AtomicU64>]>,
+    /// Per-slot word: [`LEASED`] bit plus the resting payload, packed
+    /// contiguously (eight slots per 64-byte line).
+    slots: Box<[AtomicU64]>,
     /// Rotating scan start for [`lease_any`](Self::lease_any).
     cursor: AtomicUsize,
 }
@@ -106,13 +106,11 @@ impl SlotRegistry {
         assert!(n > 0, "a registry needs at least one slot");
         assert!(u32::try_from(n).is_ok(), "slot count exceeds u32");
         let this = Self {
-            slots: (0..n)
-                .map(|p| CachePadded::new(AtomicU64::new(u64::from(payload(p)))))
-                .collect(),
+            slots: (0..n).map(|p| AtomicU64::new(u64::from(payload(p)))).collect(),
             cursor: AtomicUsize::new(0),
         };
         for (p, slot) in this.slots.iter().enumerate() {
-            Labeled::set_label(&**slot, "SLOT", p as u32, 0);
+            Labeled::set_label(slot, "SLOT", p as u32, 0);
         }
         Labeled::set_label(&this.cursor, "CURS", 0, 0);
         this

@@ -8,7 +8,6 @@ use llsc_word::{NewCell, TaggedLlSc};
 use crate::buffer::BufferPool;
 use crate::handle::Handle;
 use crate::layout::{HelpRecord, Layout, XRecord};
-use crate::pad::CachePadded;
 use crate::registry::{AttachError, SlotRegistry};
 use crate::stats::{Counters, Stats};
 
@@ -196,21 +195,25 @@ impl SpaceReport {
 pub struct MwLlSc<C: NewCell = TaggedLlSc> {
     pub(crate) layout: Layout,
     pub(crate) w: usize,
-    /// `X`: the tag of `O`'s current value — `(buf, seq)` packed. Hit by
-    /// every LL, SC and VL of every process, so it gets its own padded
-    /// cache-line pair.
-    pub(crate) x: CachePadded<C>,
-    /// `Bank[0..2N-1]`: buffer index per sequence number. Deliberately
-    /// *not* padded: entries are touched once per successful SC (plus rare
-    /// lazy fix-ups), and padding them would multiply the `O(N)` cell
-    /// footprint by 16 for no contended-path win.
-    pub(crate) bank: Box<[C]>,
-    /// `Help[0..N-1]`: helping mailboxes — `(helpme, buf)` packed. Each is
-    /// padded: process `p` writes `Help[p]` on *every* LL (the line-1
-    /// announcement), and without padding that write would invalidate the
-    /// cache line holding its neighbours' mailboxes — false sharing on the
-    /// hottest per-process word in the algorithm.
-    pub(crate) help: Box<[CachePadded<C>]>,
+    /// The paper's `3N + 1` word-sized LL/SC cells, in one unpadded block:
+    /// `X` at 0, `Bank[k]` at `1 + k` (`k < 2N`), `Help[p]` at `1 + 2N + p`
+    /// (see [`x`](Self::x), [`bank`](Self::bank), [`help`](Self::help)).
+    ///
+    /// - `X`: the tag of `O`'s current value, `(buf, seq)` packed. Every
+    ///   LL, SC and VL of every process reads it, so a line of its own
+    ///   would save no miss: whoever writes `X` invalidates every reader
+    ///   anyway.
+    /// - `Bank[0..2N-1]`: buffer index per sequence number, touched once
+    ///   per successful SC (plus rare lazy fix-ups).
+    /// - `Help[0..N-1]`: helping mailboxes, `(helpme, buf)` packed. Process
+    ///   `p` writes `Help[p]` twice per LL, so processes on different cores
+    ///   that hammer one object false-share their mailboxes.
+    ///
+    /// Padding each cell to 128 bytes would multiply this `O(N)` footprint
+    /// by 8 (and drag the whole object to 128-byte alignment). A store has
+    /// one object per key, so it pays that per key; the `pad` module gives
+    /// the measured trade.
+    cells: Box<[C]>,
     /// `BUF[0..3N-1]`: the value buffers.
     pub(crate) bufs: BufferPool,
     pub(crate) counters: Counters,
@@ -280,48 +283,54 @@ impl<C: NewCell> MwLlSc<C> {
         // Initialization block of Figure 2:
         //   X = (0, 0); BUF[0] = initial value of O;
         //   Bank[k] = k for k in 0..2N; mybuf_p = 2N + p; Help[p] = (0, _).
-        let x = CachePadded::new(C::new_cell(
-            layout.x_max(),
-            layout.pack_x(XRecord { buf: 0, seq: 0 }),
-        ));
-        let bank: Box<[C]> =
-            (0..layout.num_seqs()).map(|k| C::new_cell(layout.buf_max(), k as u64)).collect();
-        let help: Box<[CachePadded<C>]> = (0..n)
-            .map(|_| {
-                CachePadded::new(C::new_cell(
-                    layout.help_max(),
-                    layout.pack_help(HelpRecord { helpme: false, buf: 0 }),
-                ))
-            })
-            .collect();
+        let x = C::new_cell(layout.x_max(), layout.pack_x(XRecord { buf: 0, seq: 0 }));
+        let bank = (0..layout.num_seqs()).map(|k| C::new_cell(layout.buf_max(), k as u64));
+        let help = (0..n).map(|_| {
+            C::new_cell(layout.help_max(), layout.pack_help(HelpRecord { helpme: false, buf: 0 }))
+        });
+        let cells: Box<[C]> = std::iter::once(x).chain(bank).chain(help).collect();
         let bufs = BufferPool::new(layout.num_buffers(), w);
         bufs.get(0).copy_from(initial);
 
-        // Label every shared cell with its algorithmic role so the access
-        // logs of model-checked builds read like the paper (no-ops in
-        // normal builds).
-        {
-            x.model_label("X", 0, 0);
-            for (k, cell) in bank.iter().enumerate() {
-                cell.model_label("Bank", k as u32, 0);
-            }
-            for (p, cell) in help.iter().enumerate() {
-                cell.model_label("Help", p as u32, 0);
-            }
-            bufs.model_label();
-        }
-
-        Ok(Arc::new(Self {
+        let this = Self {
             layout,
             w,
-            x,
-            bank,
-            help,
+            cells,
             bufs,
             counters: Counters::default(),
             strategy,
             registry: SlotRegistry::for_object(n, layout.num_seqs()),
-        }))
+        };
+        // Label every shared cell with its algorithmic role so the access
+        // logs of model-checked builds read like the paper (no-ops in
+        // normal builds).
+        this.x().model_label("X", 0, 0);
+        for k in 0..layout.num_seqs() {
+            this.bank(k).model_label("Bank", k as u32, 0);
+        }
+        for p in 0..n {
+            this.help(p).model_label("Help", p as u32, 0);
+        }
+        this.bufs.model_label();
+        Ok(Arc::new(this))
+    }
+
+    /// The cell `X`.
+    #[inline]
+    pub(crate) fn x(&self) -> &C {
+        &self.cells[0]
+    }
+
+    /// The cell `Bank[k]`, `k < 2N`.
+    #[inline]
+    pub(crate) fn bank(&self, k: usize) -> &C {
+        &self.cells[1 + k]
+    }
+
+    /// The cell `Help[p]`, `p < N`.
+    #[inline]
+    pub(crate) fn help(&self, p: usize) -> &C {
+        &self.cells[1 + self.layout.num_seqs() + p]
     }
 
     /// Number of processes `N`.
@@ -450,9 +459,7 @@ impl<C: NewCell> MwLlSc<C> {
     #[must_use]
     pub fn substrate_retired_words(&self) -> usize {
         use llsc_word::LlScCell;
-        self.x.retired_words()
-            + self.bank.iter().map(LlScCell::retired_words).sum::<usize>()
-            + self.help.iter().map(|c| c.retired_words()).sum::<usize>()
+        self.cells.iter().map(LlScCell::retired_words).sum()
     }
 
     /// Exact space usage in 64-bit words.
@@ -462,7 +469,7 @@ impl<C: NewCell> MwLlSc<C> {
             n: self.layout.n(),
             w: self.w,
             buffer_words: self.bufs.words(),
-            llsc_cells: 1 + self.bank.len() + self.help.len(),
+            llsc_cells: self.cells.len(),
             // mybuf + packed xtype snapshot + link + flag, rounded up.
             per_process_words: 4,
         }
