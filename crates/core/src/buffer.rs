@@ -15,10 +15,11 @@
 //! ordered by the `SeqCst` LL/SC operations on `X`/`Help` that precede and
 //! follow buffer accesses (see the crate docs).
 //!
-//! All `3N` buffers live in **one** contiguous block of `3N · W` words —
-//! buffer `i` is words `i·W..(i+1)·W` — so an object makes one buffer
-//! allocation instead of `3N + 1`, and [`BufferPool::get`] hands out a
-//! borrowed `W`-word view of its slice.
+//! All `3N` buffers are **one** run of `3N · W` words at the end of the
+//! object's block — buffer `i` is words `i·W..(i+1)·W` of the run — so
+//! they cost the object no allocation of their own. [`BufferPool`] is a
+//! view of that run, and [`BufferPool::get`] hands out a borrowed `W`-word
+//! view of one buffer.
 
 use crate::sync::{AtomicU64, Labeled, Ordering};
 
@@ -54,45 +55,42 @@ impl Buffer<'_> {
     }
 }
 
-/// The array `BUF[0..3N-1]`, as one block of `3N · W` words.
-pub(crate) struct BufferPool {
-    words: Box<[AtomicU64]>,
+/// The array `BUF[0..3N-1]`: a view of the object's `3N · W` buffer words.
+#[derive(Clone, Copy)]
+pub(crate) struct BufferPool<'a> {
+    words: &'a [AtomicU64],
     w: usize,
 }
 
-impl BufferPool {
-    /// Allocates `count` buffers of `w` words each, all zeroed.
-    pub(crate) fn new(count: usize, w: usize) -> Self {
-        Self { words: (0..count * w).map(|_| AtomicU64::new(0)).collect(), w }
+impl<'a> BufferPool<'a> {
+    /// Views `words` as buffers of `w` words each.
+    #[inline]
+    pub(crate) fn new(words: &'a [AtomicU64], w: usize) -> Self {
+        debug_assert_eq!(words.len() % w, 0, "the buffer run is whole buffers");
+        Self { words, w }
     }
 
-    /// Buffer `i`: words `i·W..(i+1)·W` of the block.
+    /// Buffer `i`: words `i·W..(i+1)·W` of the run.
     #[inline]
-    pub(crate) fn get(&self, i: usize) -> Buffer<'_> {
+    pub(crate) fn get(self, i: usize) -> Buffer<'a> {
         Buffer { words: &self.words[i * self.w..(i + 1) * self.w] }
     }
 
     /// Number of buffers (`3N`).
-    pub(crate) fn count(&self) -> usize {
+    pub(crate) fn count(self) -> usize {
         self.words.len() / self.w
-    }
-
-    /// Total number of 64-bit words held in buffers (`3N · W`): the
-    /// dominant term of the paper's `O(NW)` space bound.
-    pub(crate) fn words(&self) -> usize {
-        self.words.len()
     }
 
     /// Labels word `j` of buffer `b` as `("BUF", b, j)` for model-checked
     /// builds (no-op otherwise).
-    pub(crate) fn model_label(&self) {
+    pub(crate) fn model_label(self) {
         for (i, word) in self.words.iter().enumerate() {
             Labeled::set_label(word, "BUF", (i / self.w) as u32, (i % self.w) as u32);
         }
     }
 }
 
-impl core::fmt::Debug for BufferPool {
+impl core::fmt::Debug for BufferPool<'_> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "BufferPool[{} x {} words]", self.count(), self.w)
     }
@@ -102,7 +100,12 @@ impl core::fmt::Debug for BufferPool {
 mod tests {
     use super::*;
 
-    fn read(p: &BufferPool, i: usize) -> Vec<u64> {
+    /// Zeroed words for `count` buffers of `w` words.
+    fn words(count: usize, w: usize) -> Vec<AtomicU64> {
+        (0..count * w).map(|_| AtomicU64::new(0)).collect()
+    }
+
+    fn read(p: BufferPool<'_>, i: usize) -> Vec<u64> {
         let mut out = vec![u64::MAX; p.w];
         p.get(i).copy_to(&mut out);
         out
@@ -110,24 +113,26 @@ mod tests {
 
     #[test]
     fn copy_roundtrip() {
-        let p = BufferPool::new(3, 4);
+        let words = words(3, 4);
+        let p = BufferPool::new(&words, 4);
         p.get(1).copy_from(&[1, 2, 3, 4]);
-        assert_eq!(read(&p, 1), [1, 2, 3, 4]);
+        assert_eq!(read(p, 1), [1, 2, 3, 4]);
     }
 
     #[test]
     fn zero_initialized() {
-        let p = BufferPool::new(6, 3);
+        let words = words(6, 3);
+        let p = BufferPool::new(&words, 3);
         for i in 0..6 {
-            assert_eq!(read(&p, i), [0, 0, 0], "buffer {i}");
+            assert_eq!(read(p, i), [0, 0, 0], "buffer {i}");
         }
     }
 
     #[test]
     fn pool_word_accounting() {
-        let p = BufferPool::new(6, 8);
+        let words = words(6, 8);
+        let p = BufferPool::new(&words, 8);
         assert_eq!(p.count(), 6);
-        assert_eq!(p.words(), 48);
         assert_eq!(p.get(5).words.len(), 8);
         assert_eq!(format!("{p:?}"), "BufferPool[6 x 8 words]");
     }
@@ -138,23 +143,25 @@ mod tests {
         // in particular its block neighbours i-1 and i+1 — unchanged.
         let pattern = |j: usize| [10 * j as u64 + 1, 10 * j as u64 + 2, 10 * j as u64 + 3];
         for i in 0..6 {
-            let p = BufferPool::new(6, 3);
+            let words = words(6, 3);
+            let p = BufferPool::new(&words, 3);
             for j in 0..6 {
                 p.get(j).copy_from(&pattern(j));
             }
             p.get(i).copy_from(&[u64::MAX; 3]);
             for j in 0..6 {
                 let expect = if j == i { [u64::MAX; 3] } else { pattern(j) };
-                assert_eq!(read(&p, j), expect, "buffer {j} after writing buffer {i}");
+                assert_eq!(read(p, j), expect, "buffer {j} after writing buffer {i}");
             }
         }
     }
 
     #[test]
     fn single_word_buffer() {
-        let p = BufferPool::new(3, 1);
+        let words = words(3, 1);
+        let p = BufferPool::new(&words, 1);
         p.get(2).copy_from(&[u64::MAX]);
-        assert_eq!(read(&p, 2), [u64::MAX]);
-        assert_eq!(read(&p, 1), [0]);
+        assert_eq!(read(p, 2), [u64::MAX]);
+        assert_eq!(read(p, 1), [0]);
     }
 }

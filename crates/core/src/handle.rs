@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use llsc_word::{Link, NewCell, TaggedLlSc};
+use llsc_word::{Link, LlScCell, Substrate, TaggedLlSc};
 
 use crate::layout::{HelpRecord, XRecord};
 use crate::stats::Counters;
@@ -33,7 +33,7 @@ use crate::variable::{LlStrategy, MwLlSc};
 /// panics. After a successful `sc`, the link is consumed: a further `sc`
 /// without a fresh `ll` fails (the paper's semantics — the process's own
 /// successful SC counts as "a successful SC since p's latest LL").
-pub struct Handle<C: NewCell = TaggedLlSc> {
+pub struct Handle<C: Substrate = TaggedLlSc> {
     obj: Arc<MwLlSc<C>>,
     p: usize,
     /// `mybuf_p`: index of the buffer this process currently owns.
@@ -44,7 +44,7 @@ pub struct Handle<C: NewCell = TaggedLlSc> {
     x_link: Option<Link>,
 }
 
-impl<C: NewCell> std::fmt::Debug for Handle<C> {
+impl<C: Substrate> std::fmt::Debug for Handle<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Handle")
             .field("p", &self.p)
@@ -54,7 +54,7 @@ impl<C: NewCell> std::fmt::Debug for Handle<C> {
     }
 }
 
-impl<C: NewCell> Handle<C> {
+impl<C: Substrate> Handle<C> {
     /// `mybuf` is whatever the slot registry carried for `p` — initially
     /// the paper's `2N + p`, later whatever buffer the previous lease of
     /// this slot owned when it was dropped.
@@ -86,9 +86,9 @@ impl<C: NewCell> Handle<C> {
     ///
     /// Panics if `out.len() != W`.
     pub fn ll(&mut self, out: &mut [u64]) {
-        assert_eq!(out.len(), self.obj.w, "ll: output slice length must equal W");
-        Counters::bump(&self.obj.counters.ll_ops);
-        match self.obj.strategy {
+        assert_eq!(out.len(), self.obj.width(), "ll: output slice length must equal W");
+        Counters::bump(&self.obj.counters().ll_ops);
+        match self.obj.strategy() {
             LlStrategy::WaitFree => {
                 let (rec, link) = self.ll_waitfree(self.p, out, true);
                 self.x_rec = rec;
@@ -110,12 +110,12 @@ impl<C: NewCell> Handle<C> {
     ///
     /// Panics if `v.len() != W` or if no `ll` was ever performed.
     pub fn sc(&mut self, v: &[u64]) -> bool {
-        assert_eq!(v.len(), self.obj.w, "sc: value slice length must equal W");
+        assert_eq!(v.len(), self.obj.width(), "sc: value slice length must equal W");
         let x_link = self.x_link.expect("sc: no preceding ll on this handle");
-        Counters::bump(&self.obj.counters.sc_attempts);
+        Counters::bump(&self.obj.counters().sc_attempts);
 
         let o = &*self.obj;
-        let lay = o.layout;
+        let lay = o.layout();
         let xr = self.x_rec;
 
         // Line 12: if (LL(Bank[x_p.seq]) != x_p.buf) ∧ VL(X)
@@ -124,7 +124,7 @@ impl<C: NewCell> Handle<C> {
         if bv != u64::from(xr.buf) && o.x().vl(x_link) {
             // Line 13: SC(Bank[x_p.seq], x_p.buf)
             if bank_s.sc(b_link, u64::from(xr.buf)) {
-                Counters::bump(&o.counters.bank_fixups);
+                Counters::bump(&o.counters().bank_fixups);
             }
         }
 
@@ -136,14 +136,14 @@ impl<C: NewCell> Handle<C> {
         if h.helpme && o.x().vl(x_link) {
             // Line 15: if SC(Help[q], (0, mybuf_p))
             if help_q.sc(h_link, lay.pack_help(HelpRecord { helpme: false, buf: self.mybuf })) {
-                Counters::bump(&o.counters.helps_given);
+                Counters::bump(&o.counters().helps_given);
                 // Line 16: mybuf_p = d  (ownership exchange with the helpee)
                 self.mybuf = h.buf;
             }
         }
 
         // Line 17: copy *v into BUF[mybuf_p]
-        o.bufs.get(self.mybuf as usize).copy_from(v);
+        o.bufs().get(self.mybuf as usize).copy_from(v);
 
         // Line 18: e = Bank[(x_p.seq + 1) mod 2N]
         let next = lay.next_seq(xr.seq);
@@ -151,7 +151,7 @@ impl<C: NewCell> Handle<C> {
 
         // Line 19: if SC(X, (mybuf_p, (x_p.seq + 1) mod 2N))
         if o.x().sc(x_link, lay.pack_x(XRecord { buf: self.mybuf, seq: next })) {
-            Counters::bump(&o.counters.sc_successes);
+            Counters::bump(&o.counters().sc_successes);
             // Line 20: mybuf_p = e — take over the buffer whose value just
             // aged out of the 2N-deep history; it is now safe to reuse.
             self.mybuf = e as u32;
@@ -172,7 +172,7 @@ impl<C: NewCell> Handle<C> {
     /// Panics if no `ll` was ever performed on this handle.
     pub fn vl(&mut self) -> bool {
         let x_link = self.x_link.expect("vl: no preceding ll on this handle");
-        Counters::bump(&self.obj.counters.vl_ops);
+        Counters::bump(&self.obj.counters().vl_ops);
         // Line 23: return VL(X).
         self.obj.x().vl(x_link)
     }
@@ -197,8 +197,8 @@ impl<C: NewCell> Handle<C> {
     ///
     /// Panics if `out.len() != W`.
     pub fn read(&mut self, out: &mut [u64]) {
-        assert_eq!(out.len(), self.obj.w, "read: output slice length must equal W");
-        match self.obj.strategy {
+        assert_eq!(out.len(), self.obj.width(), "read: output slice length must equal W");
+        match self.obj.strategy() {
             LlStrategy::WaitFree => {
                 let _ = self.ll_waitfree(self.p, out, false);
             }
@@ -211,7 +211,7 @@ impl<C: NewCell> Handle<C> {
     /// Convenience: [`ll`](Self::ll) into a freshly allocated `Vec`.
     #[must_use]
     pub fn ll_vec(&mut self) -> Vec<u64> {
-        let mut out = vec![0u64; self.obj.w];
+        let mut out = vec![0u64; self.obj.width()];
         self.ll(&mut out);
         out
     }
@@ -226,7 +226,7 @@ impl<C: NewCell> Handle<C> {
     /// torn reads forever).
     fn ll_waitfree(&mut self, p: usize, out: &mut [u64], _announce: bool) -> (XRecord, Link) {
         let o = &*self.obj;
-        let lay = o.layout;
+        let lay = o.layout();
 
         // Line 1: Help[p] = (1, mybuf_p) — announce, offering our buffer.
         o.help(p).write(lay.pack_help(HelpRecord { helpme: true, buf: self.mybuf }));
@@ -236,13 +236,13 @@ impl<C: NewCell> Handle<C> {
         let mut xr = lay.unpack_x(xv);
 
         // Line 3: copy BUF[x_p.buf] into *retval.
-        o.bufs.get(xr.buf as usize).copy_to(out);
+        o.bufs().get(xr.buf as usize).copy_to(out);
 
         // Line 4: if LL(Help[p]) ≡ (0, b) — someone helped us already.
         let (hv4, _link4) = o.help(p).ll();
         let h4 = lay.unpack_help(hv4);
         if !h4.helpme {
-            Counters::bump(&o.counters.lls_helped);
+            Counters::bump(&o.counters().lls_helped);
             let b = h4.buf;
 
             // Line 5: x_p = LL(X) — re-read; the helper's value may be
@@ -253,15 +253,15 @@ impl<C: NewCell> Handle<C> {
             x_link = x_link5;
 
             // Line 6: copy BUF[x_p.buf] into *retval.
-            o.bufs.get(xr.buf as usize).copy_to(out);
+            o.bufs().get(xr.buf as usize).copy_to(out);
 
             // Line 7: if ¬VL(X), fall back to the helper's donated value:
             // the line-6 read may be torn, but the donated value is valid,
             // and since X changed, our subsequent SC will fail either way
             // (O2 satisfied with the older-but-valid value).
             if !o.x().vl(x_link) {
-                Counters::bump(&o.counters.lls_rescued);
-                o.bufs.get(b as usize).copy_to(out);
+                Counters::bump(&o.counters().lls_rescued);
+                o.bufs().get(b as usize).copy_to(out);
             }
         }
 
@@ -272,7 +272,7 @@ impl<C: NewCell> Handle<C> {
             // Line 9: SC(Help[p], (0, c)). Failure means a helper slipped
             // in between lines 8 and 9; line 10 picks up its donation.
             if !o.help(p).sc(h_link8, lay.pack_help(HelpRecord { helpme: false, buf: h8.buf })) {
-                Counters::bump(&o.counters.withdraw_races);
+                Counters::bump(&o.counters().withdraw_races);
             }
         }
 
@@ -284,7 +284,7 @@ impl<C: NewCell> Handle<C> {
         // Line 11: copy *retval into BUF[mybuf_p] — stash the value we are
         // about to return in our own buffer so that our subsequent SC can
         // donate a valid value to another process's LL (line 15).
-        o.bufs.get(self.mybuf as usize).copy_from(out);
+        o.bufs().get(self.mybuf as usize).copy_from(out);
 
         (xr, x_link)
     }
@@ -295,11 +295,11 @@ impl<C: NewCell> Handle<C> {
     /// unboundedly. Used to quantify the value of the helping machinery.
     fn ll_retry_loop(&mut self, out: &mut [u64]) -> (XRecord, Link) {
         let o = &*self.obj;
-        let lay = o.layout;
+        let lay = o.layout();
         loop {
             let (xv, x_link) = o.x().ll();
             let xr = lay.unpack_x(xv);
-            o.bufs.get(xr.buf as usize).copy_to(out);
+            o.bufs().get(xr.buf as usize).copy_to(out);
             // If X is unchanged, fewer than 2N successful SCs occurred
             // during the copy (in fact zero), so the buffer was stable and
             // `out` is the value current at the LL of X.
@@ -310,7 +310,7 @@ impl<C: NewCell> Handle<C> {
     }
 }
 
-impl<C: NewCell> Drop for Handle<C> {
+impl<C: Substrate> Drop for Handle<C> {
     /// Releases the lease: slot `p` returns to the free pool carrying this
     /// handle's current `mybuf`, so the next leaseholder of `p` owns
     /// exactly the buffer this one did — the `3N`-buffer partition never
@@ -323,7 +323,7 @@ impl<C: NewCell> Drop for Handle<C> {
 // Handle is Send (process migration between threads is fine) but must not
 // be shared: all mutating methods take &mut self, and Clone is not derived.
 #[allow(dead_code)]
-fn _assert_handle_send<C: NewCell>(h: Handle<C>) -> impl Send {
+fn _assert_handle_send<C: Substrate>(h: Handle<C>) -> impl Send {
     h
 }
 

@@ -42,8 +42,10 @@ pub struct HelpRecord {
 #[derive(Clone, Copy, Debug)]
 pub struct Layout {
     n: u32,
-    buf_bits: u32,
-    seq_bits: u32,
+    // Field widths are at most 64, so a byte each keeps the layout (and
+    // with it every object's header) small.
+    buf_bits: u8,
+    seq_bits: u8,
 }
 
 impl Layout {
@@ -81,8 +83,8 @@ impl Layout {
             Self::MIN_TAG_BITS
         );
         let n = u32::try_from(n).expect("process count exceeds u32");
-        let buf_bits = bits_for(u64::from(3 * n - 1));
-        let seq_bits = bits_for(u64::from(2 * n - 1));
+        let buf_bits = bits_for(u64::from(3 * n - 1)) as u8;
+        let seq_bits = bits_for(u64::from(2 * n - 1)) as u8;
         let layout = Self { n, buf_bits, seq_bits };
         debug_assert!(layout.x_value_bits() <= 64 - Self::MIN_TAG_BITS);
         layout
@@ -109,16 +111,22 @@ impl Layout {
     /// Width of the packed `xtype` value in bits.
     #[must_use]
     pub fn x_value_bits(&self) -> u32 {
-        self.buf_bits + self.seq_bits
+        u32::from(self.buf_bits + self.seq_bits)
+    }
+
+    /// Width of a buffer index (a `Bank` cell's value) in bits.
+    #[must_use]
+    pub fn buf_value_bits(&self) -> u32 {
+        u32::from(self.buf_bits)
     }
 
     /// Width of the packed `helptype` value in bits.
     #[must_use]
     pub fn help_value_bits(&self) -> u32 {
-        self.buf_bits + 1
+        u32::from(self.buf_bits) + 1
     }
 
-    /// Largest packed `xtype` value (for sizing the substrate cell).
+    /// Largest packed `xtype` value.
     #[must_use]
     pub fn x_max(&self) -> u64 {
         (1u64 << self.x_value_bits()) - 1
@@ -128,12 +136,6 @@ impl Layout {
     #[must_use]
     pub fn help_max(&self) -> u64 {
         (1u64 << self.help_value_bits()) - 1
-    }
-
-    /// Largest buffer index, `3N - 1` (for sizing `Bank` cells).
-    #[must_use]
-    pub fn buf_max(&self) -> u64 {
-        u64::from(3 * self.n - 1)
     }
 
     /// Packs an [`XRecord`]: `seq` in the high field, `buf` in the low.

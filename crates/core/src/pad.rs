@@ -13,10 +13,12 @@
 //! `tail` indices (each written by one side and polled by the other).
 //! There are a handful of each per process, so the slack is a constant.
 //!
-//! What is not: the words of one `MwLlSc` — `X`, `Bank`, `Help` and the
-//! slot-registry lease words. They are per-key words, so padding them
+//! What is not: the words of one `MwLlSc` — the slot-registry lease
+//! words, `X`, `Bank`, `Help` and the buffers, which follow the object's
+//! header in one block. They are per-key words, so padding them
 //! multiplies a store's footprint by the key count: a store key at
-//! `N = 4`, `W = 1` costs 2127 bytes of RSS padded and 592 unpadded. The
+//! `N = 4`, `W = 1` cost 2127 bytes of RSS with padded cells, 592 with
+//! unpadded cells in four allocations, and costs 376 as one block. The
 //! price shows when several cores hammer one object. On a 2-vCPU x86-64
 //! VM, E8's `W = 2` storm at `N = 2` fell from 1.57 to 0.92 Mops/s for
 //! `jp-waitfree` (medians of 20 quick runs each), and padding only `Help`
@@ -25,8 +27,13 @@
 //! from 9.4 to 6.9 and `jp-retry-ll`, which writes no `Help`, from 13.9
 //! to 9.8. E16's `hot4` store cells, four hot keys under two or four
 //! callers, rose from 4.4 to 6.0 and from 4.9 to 7.3 Mops/s on the same
-//! host. `X` gets no line of its own because every op reads it, so a
-//! successful SC invalidates it for every process whatever sits beside it.
+//! host. Moving the slot words and counters into the cells' block kept
+//! E8 within its run-to-run spread, which on that host is bimodal (one
+//! cell reads 1–3 or 6–13 Mops/s from run to run), and the `hot4` store
+//! cells rose again, from 4.55 to 4.80 and from 6.35 to 7.56 Mops/s
+//! (medians of 5 quick runs each). `X` gets no line of its own because
+//! every op reads it, so a successful SC invalidates it for every process
+//! whatever sits beside it.
 //!
 //! Padding is a *layout* choice, not algorithm state: the space accounting
 //! in [`SpaceReport`](crate::SpaceReport) and

@@ -21,13 +21,15 @@
 //! handles come and go. Other consumers (the sharded store) use the payload
 //! as an opaque token.
 //!
-//! The slot words are one unpadded `[AtomicU64]`. A lease or release
-//! writes one slot once per handle lifetime, not once per op, so the line
-//! it shares with neighbouring slots sees rare writes; padding each word
-//! to 128 bytes would cost 120 bytes per process slot in every object and
-//! every store shard.
+//! The lease logic is [`Slots`], a view over slot words owned elsewhere:
+//! an object's `N` slot words are the first words of its own block, and a
+//! [`SlotRegistry`] (one per store shard) owns its words in a box. Either
+//! way the words are unpadded. A lease or release writes one slot once per
+//! handle lifetime, not once per op, so the line it shares with its
+//! neighbours sees rare writes; padding each word to 128 bytes would cost
+//! 120 bytes per process slot in every object and every store shard.
 
-use crate::sync::{AtomicU64, AtomicUsize, Labeled, Ordering};
+use crate::sync::{AtomicU32, AtomicU64, Labeled, Ordering};
 
 /// Bit marking a slot as currently leased; the low 32 bits hold the
 /// resting payload of a free slot (stale while leased).
@@ -56,7 +58,83 @@ impl std::fmt::Display for AttachError {
 
 impl std::error::Error for AttachError {}
 
-/// Lease state for a fixed set of `n` slots.
+/// The word of a free slot resting with `payload`.
+pub(crate) fn free_slot(payload: u32) -> u64 {
+    u64::from(payload)
+}
+
+/// The lease logic of a [`SlotRegistry`], over `n` slot words and a scan
+/// cursor that someone else owns (an object's block, or the registry).
+#[derive(Clone, Copy)]
+pub(crate) struct Slots<'a> {
+    /// Per-slot word: [`LEASED`] bit plus the resting payload, packed
+    /// contiguously (eight slots per 64-byte line).
+    slots: &'a [AtomicU64],
+    /// Rotating scan start for [`lease_any`](Self::lease_any).
+    cursor: &'a AtomicU32,
+}
+
+impl<'a> Slots<'a> {
+    #[inline]
+    pub(crate) fn new(slots: &'a [AtomicU64], cursor: &'a AtomicU32) -> Self {
+        Self { slots, cursor }
+    }
+
+    /// Labels slot `p` as `("SLOT", p, 0)` and the cursor as `CURS` for
+    /// model-checked builds (no-op otherwise).
+    pub(crate) fn model_label(self) {
+        for (p, slot) in self.slots.iter().enumerate() {
+            Labeled::set_label(slot, "SLOT", p as u32, 0);
+        }
+        Labeled::set_label(self.cursor, "CURS", 0, 0);
+    }
+
+    /// Leases slot `p` if free, returning the payload it carries.
+    pub(crate) fn lease_exact(self, p: usize) -> Option<u32> {
+        // fetch_or is idempotent on an already-leased slot, so losing the
+        // race costs nothing and the winner is decided by one RMW.
+        let prev = self.slots[p].fetch_or(LEASED, Ordering::AcqRel); // lint: cell=SLOT
+        (prev & LEASED == 0).then_some(prev as u32)
+    }
+
+    /// Leases any free slot, returning `(p, payload)`.
+    pub(crate) fn lease_any(self) -> Option<(usize, u32)> {
+        let n = self.slots.len();
+        let start = self.cursor.fetch_add(1, Ordering::Relaxed) as usize % n; // lint: cell=CURS
+        for i in 0..n {
+            let p = (start + i) % n;
+            // Cheap read first; only RMW slots that look free.
+            // lint: cell=SLOT
+            if self.slots[p].load(Ordering::Relaxed) & LEASED == 0 {
+                if let Some(payload) = self.lease_exact(p) {
+                    return Some((p, payload));
+                }
+            }
+        }
+        None
+    }
+
+    /// Returns slot `p` to the free pool, carrying `payload` back with it.
+    ///
+    /// The `Release` store pairs with the `AcqRel` in
+    /// [`lease_exact`](Self::lease_exact): the next leaseholder observes
+    /// every write the previous one made (for `MwLlSc`, its final `Help[p]`
+    /// state and the contents of the carried buffer).
+    pub(crate) fn release(self, p: usize, payload: u32) {
+        debug_assert!(self.slots[p].load(Ordering::Relaxed) & LEASED != 0, "double release of {p}"); // lint: cell=SLOT
+        self.slots[p].store(free_slot(payload), Ordering::Release); // lint: cell=SLOT
+    }
+
+    /// Number of currently leased slots.
+    pub(crate) fn live(self) -> usize {
+        // lint: cell=SLOT
+        self.slots.iter().filter(|s| s.load(Ordering::Acquire) & LEASED != 0).count()
+    }
+}
+
+/// Lease state for a fixed set of `n` slots, owning its words: the
+/// registry of one store shard. (An [`MwLlSc`](crate::MwLlSc) keeps its
+/// slot words in its own block and runs the same logic over them.)
 ///
 /// Lock-free: a lease is one `fetch_or` on the slot word, a release is one
 /// store. [`lease_any`](Self::lease_any) scans from a rotating start so
@@ -77,11 +155,8 @@ impl std::error::Error for AttachError {}
 /// assert_eq!(r.lease_exact(p), Some(7), "the payload travels with the slot");
 /// ```
 pub struct SlotRegistry {
-    /// Per-slot word: [`LEASED`] bit plus the resting payload, packed
-    /// contiguously (eight slots per 64-byte line).
     slots: Box<[AtomicU64]>,
-    /// Rotating scan start for [`lease_any`](Self::lease_any).
-    cursor: AtomicUsize,
+    cursor: AtomicU32,
 }
 
 impl SlotRegistry {
@@ -93,27 +168,19 @@ impl SlotRegistry {
     /// Panics if `n == 0` or `n > u32::MAX` (payloads are 32-bit).
     #[must_use]
     pub fn new(n: usize) -> Self {
-        Self::with_payloads(n, |p| p as u32)
-    }
-
-    /// Creates the registry for one [`MwLlSc`](crate::MwLlSc): the paper's
-    /// initial buffer assignment `mybuf_p = 2N + p` (`num_seqs` = `2N`).
-    pub(crate) fn for_object(n: usize, num_seqs: usize) -> Self {
-        Self::with_payloads(n, |p| (num_seqs + p) as u32)
-    }
-
-    fn with_payloads(n: usize, payload: impl Fn(usize) -> u32) -> Self {
         assert!(n > 0, "a registry needs at least one slot");
         assert!(u32::try_from(n).is_ok(), "slot count exceeds u32");
         let this = Self {
-            slots: (0..n).map(|p| AtomicU64::new(u64::from(payload(p)))).collect(),
-            cursor: AtomicUsize::new(0),
+            slots: (0..n).map(|p| AtomicU64::new(free_slot(p as u32))).collect(),
+            cursor: AtomicU32::new(0),
         };
-        for (p, slot) in this.slots.iter().enumerate() {
-            Labeled::set_label(slot, "SLOT", p as u32, 0);
-        }
-        Labeled::set_label(&this.cursor, "CURS", 0, 0);
+        this.view().model_label();
         this
+    }
+
+    #[inline]
+    fn view(&self) -> Slots<'_> {
+        Slots::new(&self.slots, &self.cursor)
     }
 
     /// Total number of slots.
@@ -125,46 +192,25 @@ impl SlotRegistry {
     /// Leases slot `p` if free, returning the payload it carries.
     #[must_use]
     pub fn lease_exact(&self, p: usize) -> Option<u32> {
-        // fetch_or is idempotent on an already-leased slot, so losing the
-        // race costs nothing and the winner is decided by one RMW.
-        let prev = self.slots[p].fetch_or(LEASED, Ordering::AcqRel); // lint: cell=SLOT
-        (prev & LEASED == 0).then_some(prev as u32)
+        self.view().lease_exact(p)
     }
 
     /// Leases any free slot, returning `(p, payload)`.
     #[must_use]
     pub fn lease_any(&self) -> Option<(usize, u32)> {
-        let n = self.slots.len();
-        let start = self.cursor.fetch_add(1, Ordering::Relaxed) % n; // lint: cell=CURS
-        for i in 0..n {
-            let p = (start + i) % n;
-            // Cheap read first; only RMW slots that look free.
-            // lint: cell=SLOT
-            if self.slots[p].load(Ordering::Relaxed) & LEASED == 0 {
-                if let Some(payload) = self.lease_exact(p) {
-                    return Some((p, payload));
-                }
-            }
-        }
-        None
+        self.view().lease_any()
     }
 
-    /// Returns slot `p` to the free pool, carrying `payload` back with it.
-    ///
-    /// The `Release` store pairs with the `AcqRel` in
-    /// [`lease_exact`](Self::lease_exact): the next leaseholder observes
-    /// every write the previous one made (for `MwLlSc`, its final `Help[p]`
-    /// state and the contents of the carried buffer).
+    /// Returns slot `p` to the free pool, carrying `payload` back with it
+    /// (a `Release` store that the next lease's `AcqRel` pairs with).
     pub fn release(&self, p: usize, payload: u32) {
-        debug_assert!(self.slots[p].load(Ordering::Relaxed) & LEASED != 0, "double release of {p}"); // lint: cell=SLOT
-        self.slots[p].store(u64::from(payload), Ordering::Release); // lint: cell=SLOT
+        self.view().release(p, payload);
     }
 
     /// Number of currently leased slots.
     #[must_use]
     pub fn live(&self) -> usize {
-        // lint: cell=SLOT
-        self.slots.iter().filter(|s| s.load(Ordering::Acquire) & LEASED != 0).count()
+        self.view().live()
     }
 }
 
@@ -181,15 +227,21 @@ impl std::fmt::Debug for SlotRegistry {
 mod tests {
     use super::*;
 
+    /// An object's slot words for `n = 3`: slot `p` rests with its
+    /// initial buffer `mybuf_p = 2N + p`.
+    fn object_slots() -> (Vec<AtomicU64>, AtomicU32) {
+        ((0..3).map(|p| AtomicU64::new(free_slot(6 + p))).collect(), AtomicU32::new(0))
+    }
+
     #[test]
     fn lease_release_roundtrip_carries_payload() {
-        let r = SlotRegistry::for_object(3, 6);
+        let (words, cursor) = object_slots();
+        let r = Slots::new(&words, &cursor);
         assert_eq!(r.lease_exact(1), Some(7), "initial mybuf_1 = 2N + 1");
         assert_eq!(r.lease_exact(1), None, "slot is held");
         r.release(1, 42);
         assert_eq!(r.lease_exact(1), Some(42), "release carried the new payload back");
         assert_eq!(r.live(), 1);
-        assert_eq!(r.capacity(), 3);
     }
 
     #[test]
@@ -202,7 +254,7 @@ mod tests {
 
     #[test]
     fn lease_any_exhausts_and_recovers() {
-        let r = SlotRegistry::for_object(2, 4);
+        let r = SlotRegistry::new(2);
         let a = r.lease_any().unwrap();
         let b = r.lease_any().unwrap();
         assert_ne!(a.0, b.0);

@@ -18,7 +18,7 @@ use std::any::Any;
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use llsc_word::NewCell;
+use llsc_word::Substrate;
 
 use crate::handle::Handle;
 use crate::registry::AttachError;
@@ -31,7 +31,7 @@ thread_local! {
     static ATTACHMENTS: RefCell<Vec<(usize, Box<dyn Any>)>> = const { RefCell::new(Vec::new()) };
 }
 
-impl<C: NewCell + 'static> MwLlSc<C> {
+impl<C: Substrate> MwLlSc<C> {
     /// Runs `f` on this thread's cached [`Handle`] for the object,
     /// attaching one (and caching it for later calls) on first use.
     ///
@@ -91,7 +91,7 @@ impl<C: NewCell + 'static> MwLlSc<C> {
         self: &Arc<Self>,
         f: impl FnOnce(&mut Handle<C>) -> R,
     ) -> Result<R, AttachError> {
-        let key = Arc::as_ptr(self) as usize;
+        let key = Arc::as_ptr(self).cast::<()>().addr();
         // A cache hit performs no shared-memory access at all, which would
         // make `with` invisible to a model checker's scheduler; this
         // explicit scheduling point (a no-op in normal builds) keeps the

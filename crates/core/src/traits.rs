@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use llsc_word::{EpochLlSc, NewCell, TaggedLlSc};
+use llsc_word::{EpochLlSc, Substrate, TaggedLlSc};
 
 use crate::handle::Handle;
 use crate::layout::Layout;
@@ -166,8 +166,10 @@ impl SpaceEstimate {
 /// assert_eq!(bump_first_word::<PaperBackend>(&[41, 0]), 42);
 /// ```
 pub trait MwFactory: Send + Sync + 'static {
-    /// The shared object type this backend builds.
-    type Object: Send + Sync + 'static;
+    /// The shared object type this backend builds (unsized when the
+    /// object ends in a runtime-length block of words, as
+    /// [`MwLlSc`] does).
+    type Object: ?Sized + Send + Sync + 'static;
 
     /// The per-process handle leased from an object.
     type Handle: MwHandle + 'static;
@@ -357,7 +359,7 @@ impl MwFactory for PaperRetryBackend {
 
 // The paper's algorithm satisfies its own capability trait, over any
 // substrate.
-impl<C: NewCell> MwHandle for Handle<C> {
+impl<C: Substrate> MwHandle for Handle<C> {
     fn ll(&mut self, out: &mut [u64]) {
         Handle::ll(self, out);
     }

@@ -3,13 +3,15 @@
 
 use std::sync::Arc;
 
-use llsc_word::{NewCell, TaggedLlSc};
+use llsc_word::block::{self, HeaderSlice};
+use llsc_word::{LlScCell, Substrate, TaggedLlSc};
 
 use crate::buffer::BufferPool;
 use crate::handle::Handle;
 use crate::layout::{HelpRecord, Layout, XRecord};
-use crate::registry::{AttachError, SlotRegistry};
+use crate::registry::{free_slot, AttachError, Slots};
 use crate::stats::{Counters, Stats};
+use crate::sync::{AtomicU32, AtomicU64};
 
 /// How [`Handle::ll`](crate::Handle::ll) obtains a consistent value.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -192,41 +194,77 @@ impl SpaceReport {
 /// val[0] += 10;
 /// assert!(h0.sc(&val)); // no interference: the SC succeeds
 /// ```
-pub struct MwLlSc<C: NewCell = TaggedLlSc> {
-    pub(crate) layout: Layout,
-    pub(crate) w: usize,
-    /// The paper's `3N + 1` word-sized LL/SC cells, in one unpadded block:
-    /// `X` at 0, `Bank[k]` at `1 + k` (`k < 2N`), `Help[p]` at `1 + 2N + p`
-    /// (see [`x`](Self::x), [`bank`](Self::bank), [`help`](Self::help)).
-    ///
-    /// - `X`: the tag of `O`'s current value, `(buf, seq)` packed. Every
-    ///   LL, SC and VL of every process reads it, so a line of its own
-    ///   would save no miss: whoever writes `X` invalidates every reader
-    ///   anyway.
-    /// - `Bank[0..2N-1]`: buffer index per sequence number, touched once
-    ///   per successful SC (plus rare lazy fix-ups).
-    /// - `Help[0..N-1]`: helping mailboxes, `(helpme, buf)` packed. Process
-    ///   `p` writes `Help[p]` twice per LL, so processes on different cores
-    ///   that hammer one object false-share their mailboxes.
-    ///
-    /// Padding each cell to 128 bytes would multiply this `O(N)` footprint
-    /// by 8 (and drag the whole object to 128-byte alignment). A store has
-    /// one object per key, so it pays that per key; the `pad` module gives
-    /// the measured trade.
-    cells: Box<[C]>,
-    /// `BUF[0..3N-1]`: the value buffers.
-    pub(crate) bufs: BufferPool,
-    pub(crate) counters: Counters,
-    pub(crate) strategy: LlStrategy,
-    registry: SlotRegistry,
+///
+/// # One block
+///
+/// The whole object is one allocation, the `Arc`'s own: a small header
+/// (the [`Layout`], `W`, the [`LlStrategy`] and the instrumentation
+/// counters) followed by the words of the object, so a caller's pointer
+/// reaches every word in one hop. Over the default substrate the words
+/// are, in order:
+///
+/// | words | what |
+/// |-------|------|
+/// | `N` | the slot registry's lease words (`mybuf_p` of a free slot) |
+/// | `1` | `X`: the tag of `O`'s current value, `(buf, seq)` packed |
+/// | `2N` | `Bank[k]`: buffer index per sequence number |
+/// | `N` | `Help[p]`: helping mailboxes, `(helpme, buf)` packed |
+/// | `3NW` | `BUF[b]`: the value buffers, `W` words each |
+///
+/// The `3N + 1` cells are tagged words viewed in place; each cell's value
+/// width comes from the `Layout`, not from the cell. Nothing is padded:
+/// every LL, SC and VL reads `X`, so a line of its own would save no miss,
+/// and process `p` writes `Help[p]` twice per LL, so processes on
+/// different cores that hammer one object false-share their mailboxes.
+/// A store has one object per key and would pay any padding per key; the
+/// `pad` module gives the measured trade. The epoch substrate's cells are
+/// pointers to heap nodes, so it keeps them in a side allocation that the
+/// header names, and its block holds the slot words and buffers only.
+#[repr(C)]
+pub struct MwLlSc<C: Substrate = TaggedLlSc> {
+    head: Head<C>,
+    /// `[slot N][X][Bank 2N][Help N][BUF 3NW]`, with the cell words absent
+    /// when the substrate keeps its cells out of line.
+    words: [AtomicU64],
 }
 
-impl<C: NewCell> std::fmt::Debug for MwLlSc<C> {
+/// The fixed fields in front of an [`MwLlSc`]'s words.
+pub struct Head<C: Substrate> {
+    layout: Layout,
+    w: usize,
+    strategy: LlStrategy,
+    counters: Counters,
+    /// The slot registry's rotating scan start.
+    cursor: AtomicU32,
+    /// The out-of-line cells (`()` for the tagged substrate).
+    side: C::Side,
+}
+
+impl<C: Substrate> std::fmt::Debug for Head<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MwLlSc")
-            .field("n", &self.layout.n())
+        f.debug_struct("Head")
+            .field("layout", &self.layout)
             .field("w", &self.w)
             .field("strategy", &self.strategy)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<C: Substrate> HeaderSlice for MwLlSc<C> {
+    type Header = Head<C>;
+    type Elem = AtomicU64;
+
+    fn cast(tail: *const [AtomicU64]) -> *const Self {
+        tail as *const Self
+    }
+}
+
+impl<C: Substrate> std::fmt::Debug for MwLlSc<C> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MwLlSc")
+            .field("n", &self.head.layout.n())
+            .field("w", &self.head.w)
+            .field("strategy", &self.head.strategy)
             .finish_non_exhaustive()
     }
 }
@@ -262,7 +300,7 @@ impl MwLlSc<TaggedLlSc> {
     }
 }
 
-impl<C: NewCell> MwLlSc<C> {
+impl<C: Substrate> MwLlSc<C> {
     /// Creates an object over the substrate `C`, reporting configuration
     /// problems as errors.
     pub fn try_new_in(n: usize, w: usize, initial: &[u64]) -> Result<Arc<Self>, ConfigError> {
@@ -279,76 +317,120 @@ impl<C: NewCell> MwLlSc<C> {
     ) -> Result<Arc<Self>, ConfigError> {
         ConfigError::validate(n, w, initial, Layout::MAX_PROCESSES)?;
         let layout = Layout::new(n);
+        let num_seqs = layout.num_seqs();
 
         // Initialization block of Figure 2:
         //   X = (0, 0); BUF[0] = initial value of O;
         //   Bank[k] = k for k in 0..2N; mybuf_p = 2N + p; Help[p] = (0, _).
-        let x = C::new_cell(layout.x_max(), layout.pack_x(XRecord { buf: 0, seq: 0 }));
-        let bank = (0..layout.num_seqs()).map(|k| C::new_cell(layout.buf_max(), k as u64));
-        let help = (0..n).map(|_| {
-            C::new_cell(layout.help_max(), layout.pack_help(HelpRecord { helpme: false, buf: 0 }))
-        });
-        let cells: Box<[C]> = std::iter::once(x).chain(bank).chain(help).collect();
-        let bufs = BufferPool::new(layout.num_buffers(), w);
-        bufs.get(0).copy_from(initial);
-
-        let this = Self {
+        let cell_init = |i: usize| match i {
+            0 => layout.pack_x(XRecord { buf: 0, seq: 0 }),
+            i if i <= num_seqs => (i - 1) as u64,
+            _ => layout.pack_help(HelpRecord { helpme: false, buf: 0 }),
+        };
+        let cells = 3 * n + 1;
+        let cell_words = cells * C::BLOCK_WORDS;
+        let head = Head {
             layout,
             w,
-            cells,
-            bufs,
-            counters: Counters::default(),
             strategy,
-            registry: SlotRegistry::for_object(n, layout.num_seqs()),
+            counters: Counters::default(),
+            cursor: AtomicU32::new(0),
+            side: C::new_side(cells, cell_init),
         };
-        // Label every shared cell with its algorithmic role so the access
+        let len = n + cell_words + layout.num_buffers() * w;
+        let this = block::new_arc::<Self>(head, len, |i| {
+            AtomicU64::new(if i < n {
+                free_slot((num_seqs + i) as u32)
+            } else if i < n + cell_words {
+                C::initial_word(cell_init(i - n))
+            } else {
+                // Buffer 0 is the first W buffer words.
+                initial.get(i - n - cell_words).copied().unwrap_or(0)
+            })
+        });
+
+        // Label every shared word with its algorithmic role so the access
         // logs of model-checked builds read like the paper (no-ops in
         // normal builds).
+        this.slots().model_label();
         this.x().model_label("X", 0, 0);
-        for k in 0..layout.num_seqs() {
+        for k in 0..num_seqs {
             this.bank(k).model_label("Bank", k as u32, 0);
         }
         for p in 0..n {
             this.help(p).model_label("Help", p as u32, 0);
         }
-        this.bufs.model_label();
-        Ok(Arc::new(this))
+        this.bufs().model_label();
+        Ok(this)
+    }
+
+    /// The field widths and packing of this object's records.
+    #[inline]
+    pub(crate) fn layout(&self) -> Layout {
+        self.head.layout
+    }
+
+    /// The instrumentation counters.
+    #[inline]
+    pub(crate) fn counters(&self) -> &Counters {
+        &self.head.counters
+    }
+
+    /// The slot registry: the first `N` words and the header's cursor.
+    #[inline]
+    fn slots(&self) -> Slots<'_> {
+        Slots::new(&self.words[..self.head.layout.n()], &self.head.cursor)
+    }
+
+    /// Cell `i` of `X`, `Bank`, `Help` (`X` at 0, `Bank[k]` at `1 + k`,
+    /// `Help[p]` at `1 + 2N + p`), holding values of `value_bits` bits.
+    #[inline]
+    fn cell(&self, i: usize, value_bits: u32) -> C::Cell<'_> {
+        C::cell(&self.head.side, &self.words[self.head.layout.n()..], i, value_bits)
     }
 
     /// The cell `X`.
     #[inline]
-    pub(crate) fn x(&self) -> &C {
-        &self.cells[0]
+    pub(crate) fn x(&self) -> C::Cell<'_> {
+        self.cell(0, self.head.layout.x_value_bits())
     }
 
-    /// The cell `Bank[k]`, `k < 2N`.
+    /// The cell `Bank[k]`, `k < 2N`: a buffer index.
     #[inline]
-    pub(crate) fn bank(&self, k: usize) -> &C {
-        &self.cells[1 + k]
+    pub(crate) fn bank(&self, k: usize) -> C::Cell<'_> {
+        self.cell(1 + k, self.head.layout.buf_value_bits())
     }
 
     /// The cell `Help[p]`, `p < N`.
     #[inline]
-    pub(crate) fn help(&self, p: usize) -> &C {
-        &self.cells[1 + self.layout.num_seqs() + p]
+    pub(crate) fn help(&self, p: usize) -> C::Cell<'_> {
+        let lay = self.head.layout;
+        self.cell(1 + lay.num_seqs() + p, lay.help_value_bits())
+    }
+
+    /// `BUF[0..3N-1]`: the last `3NW` words.
+    #[inline]
+    pub(crate) fn bufs(&self) -> BufferPool<'_> {
+        let n = self.head.layout.n();
+        BufferPool::new(&self.words[n + (3 * n + 1) * C::BLOCK_WORDS..], self.head.w)
     }
 
     /// Number of processes `N`.
     #[must_use]
     pub fn processes(&self) -> usize {
-        self.layout.n()
+        self.head.layout.n()
     }
 
     /// Words per value, `W`.
     #[must_use]
     pub fn width(&self) -> usize {
-        self.w
+        self.head.w
     }
 
     /// The configured LL strategy.
     #[must_use]
     pub fn strategy(&self) -> LlStrategy {
-        self.strategy
+        self.head.strategy
     }
 
     /// Leases the [`Handle`] for the *specific* process id `p`.
@@ -371,11 +453,11 @@ impl<C: NewCell> MwLlSc<C> {
     /// assert!(obj.claim(0).is_ok(), "dropping the handle freed the slot");
     /// ```
     pub fn claim(self: &Arc<Self>, p: usize) -> Result<Handle<C>, ClaimError> {
-        let n = self.layout.n();
+        let n = self.head.layout.n();
         if p >= n {
             return Err(ClaimError::OutOfRange { p, n });
         }
-        match self.registry.lease_exact(p) {
+        match self.slots().lease_exact(p) {
             Some(mybuf) => Ok(Handle::new(Arc::clone(self), p, mybuf)),
             None => Err(ClaimError::AlreadyClaimed { p }),
         }
@@ -414,9 +496,9 @@ impl<C: NewCell> MwLlSc<C> {
     /// assert_eq!(v, [8]);
     /// ```
     pub fn attach(self: &Arc<Self>) -> Result<Handle<C>, AttachError> {
-        match self.registry.lease_any() {
+        match self.slots().lease_any() {
             Some((p, mybuf)) => Ok(Handle::new(Arc::clone(self), p, mybuf)),
-            None => Err(AttachError::Exhausted { n: self.layout.n() }),
+            None => Err(AttachError::Exhausted { n: self.head.layout.n() }),
         }
     }
 
@@ -427,7 +509,7 @@ impl<C: NewCell> MwLlSc<C> {
     /// Panics if any slot is already leased.
     #[must_use]
     pub fn handles(self: &Arc<Self>) -> Vec<Handle<C>> {
-        (0..self.layout.n())
+        (0..self.head.layout.n())
             .map(|p| self.claim(p).unwrap_or_else(|e| panic!("handles(): {e}")))
             .collect()
     }
@@ -435,18 +517,18 @@ impl<C: NewCell> MwLlSc<C> {
     /// Number of process slots currently leased by live handles.
     #[must_use]
     pub fn live_leases(&self) -> usize {
-        self.registry.live()
+        self.slots().live()
     }
 
     /// Returns slot `p` with its current `mybuf`; called by `Handle::drop`.
     pub(crate) fn release_slot(&self, p: usize, mybuf: u32) {
-        self.registry.release(p, mybuf);
+        self.slots().release(p, mybuf);
     }
 
     /// A snapshot of the instrumentation counters.
     #[must_use]
     pub fn stats(&self) -> Stats {
-        self.counters.snapshot()
+        self.head.counters.snapshot()
     }
 
     /// 64-bit words currently held in the substrate cells' reclamation
@@ -458,18 +540,21 @@ impl<C: NewCell> MwLlSc<C> {
     /// under-counts what the process is holding.
     #[must_use]
     pub fn substrate_retired_words(&self) -> usize {
-        use llsc_word::LlScCell;
-        self.cells.iter().map(LlScCell::retired_words).sum()
+        let lay = self.head.layout;
+        let bank = (0..lay.num_seqs()).map(|k| self.bank(k).retired_words());
+        let help = (0..lay.n()).map(|p| self.help(p).retired_words());
+        self.x().retired_words() + bank.sum::<usize>() + help.sum::<usize>()
     }
 
     /// Exact space usage in 64-bit words.
     #[must_use]
     pub fn space(&self) -> SpaceReport {
+        let lay = self.head.layout;
         SpaceReport {
-            n: self.layout.n(),
-            w: self.w,
-            buffer_words: self.bufs.words(),
-            llsc_cells: self.cells.len(),
+            n: lay.n(),
+            w: self.head.w,
+            buffer_words: lay.num_buffers() * self.head.w,
+            llsc_cells: 1 + lay.num_seqs() + lay.n(),
             // mybuf + packed xtype snapshot + link + flag, rounded up.
             per_process_words: 4,
         }

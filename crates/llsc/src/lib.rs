@@ -19,7 +19,10 @@
 //!   (tag wrap-around, `2^(64-value_bits)` successful SCs between one
 //!   process's LL and its SC) is quantified by
 //!   [`TaggedLlSc::wraparound_bound`] and is astronomically far away for the
-//!   field widths the multiword algorithm needs.
+//!   field widths the multiword algorithm needs. The operations live on
+//!   [`TaggedView`], the same cell over a borrowed word, which is how the
+//!   multiword object runs its cells in place in its own block (see
+//!   [`Substrate`] and [`block`]).
 //! * [`EpochLlSc`] — the value lives in a heap node and the object is an
 //!   atomic pointer; retired nodes are reclaimed by the hand-rolled
 //!   epoch-based reclamation subsystem in [`smr`] as soon as no reader
@@ -81,6 +84,7 @@
 #![warn(missing_docs, missing_debug_implementations)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+pub mod block;
 pub mod deferred;
 mod epoch;
 pub mod smr;
@@ -101,7 +105,7 @@ pub(crate) fn testgate() -> std::sync::MutexGuard<'static, ()> {
 
 pub use deferred::{DeferredSwapCell, Pinned};
 pub use epoch::EpochLlSc;
-pub use tagged::TaggedLlSc;
+pub use tagged::{TaggedLlSc, TaggedView};
 
 use core::fmt::Debug;
 
@@ -178,30 +182,131 @@ pub trait LlScCell: Send + Sync {
     fn model_label(&self, _name: &'static str, _a: u32, _b: u32) {}
 }
 
-/// Construction of an [`LlScCell`] sized for a given value range.
-///
-/// The multiword algorithm is generic over its single-word substrate; this
-/// trait lets it construct whichever realization it is instantiated with.
-pub trait NewCell: LlScCell + Sized {
-    /// Creates a cell able to store values `0..=max`, initialized to `init`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `init > max` or the realization cannot represent `max`.
-    fn new_cell(max: u64, init: u64) -> Self;
-}
+// A borrowed cell is a cell: lets a substrate hand out `&EpochLlSc` as
+// its per-cell view.
+impl<T: LlScCell + ?Sized> LlScCell for &T {
+    #[inline]
+    fn ll(&self) -> (u64, Link) {
+        (**self).ll()
+    }
 
-impl NewCell for TaggedLlSc {
-    fn new_cell(max: u64, init: u64) -> Self {
-        assert!(init <= max, "init {init} > max {max}");
-        TaggedLlSc::with_max(max, init)
+    #[inline]
+    fn sc(&self, link: Link, v: u64) -> bool {
+        (**self).sc(link, v)
+    }
+
+    #[inline]
+    fn vl(&self, link: Link) -> bool {
+        (**self).vl(link)
+    }
+
+    #[inline]
+    fn read(&self) -> u64 {
+        (**self).read()
+    }
+
+    #[inline]
+    fn write(&self, v: u64) {
+        (**self).write(v);
+    }
+
+    fn max_value(&self) -> u64 {
+        (**self).max_value()
+    }
+
+    fn retired_words(&self) -> usize {
+        (**self).retired_words()
+    }
+
+    fn model_label(&self, name: &'static str, a: u32, b: u32) {
+        (**self).model_label(name, a, b);
     }
 }
 
-impl NewCell for EpochLlSc {
-    fn new_cell(max: u64, init: u64) -> Self {
-        assert!(init <= max, "init {init} > max {max}");
-        EpochLlSc::new(init)
+/// Where the multiword algorithm keeps its word-sized cells, for one
+/// realization.
+///
+/// The multiword object is generic over its single-word substrate, and
+/// keeps its cells in one of two places:
+///
+/// * in place, one word each, among the words of the object's own block
+///   ([`TaggedLlSc`]: the cell words are viewed as [`TaggedView`]s, and
+///   [`Side`](Self::Side) is `()`);
+/// * out of line, in a side allocation the object's header names
+///   ([`EpochLlSc`]: every cell is an atomic pointer to a heap node
+///   anyway, so the cells take no block words).
+pub trait Substrate: Sized + 'static {
+    /// The cells kept outside the block: `()` for in-place cells.
+    type Side: Send + Sync;
+
+    /// A borrowed view of one cell.
+    type Cell<'a>: LlScCell;
+
+    /// Block words per cell: 1 for in-place cells, 0 for out-of-line ones.
+    const BLOCK_WORDS: usize;
+
+    /// The initial block word of an in-place cell holding `init`.
+    fn initial_word(init: u64) -> u64;
+
+    /// Builds the out-of-line cells: `count` of them, cell `i` holding
+    /// `init(i)`.
+    fn new_side(count: usize, init: impl Fn(usize) -> u64) -> Self::Side;
+
+    /// Cell `i`, whose values fit in `value_bits` bits: word `i` of
+    /// `words` (the block's cell words) or entry `i` of `side`.
+    fn cell<'a>(
+        side: &'a Self::Side,
+        words: &'a [sync::AtomicU64],
+        i: usize,
+        value_bits: u32,
+    ) -> Self::Cell<'a>;
+}
+
+impl Substrate for TaggedLlSc {
+    type Side = ();
+    type Cell<'a> = TaggedView<'a>;
+
+    const BLOCK_WORDS: usize = 1;
+
+    fn initial_word(init: u64) -> u64 {
+        TaggedView::initial_word(init)
+    }
+
+    fn new_side(_count: usize, _init: impl Fn(usize) -> u64) {}
+
+    #[inline]
+    fn cell<'a>(
+        _side: &'a (),
+        words: &'a [sync::AtomicU64],
+        i: usize,
+        value_bits: u32,
+    ) -> TaggedView<'a> {
+        TaggedView::new(&words[i], value_bits)
+    }
+}
+
+impl Substrate for EpochLlSc {
+    type Side = Box<[EpochLlSc]>;
+    type Cell<'a> = &'a EpochLlSc;
+
+    const BLOCK_WORDS: usize = 0;
+
+    fn initial_word(init: u64) -> u64 {
+        init
+    }
+
+    fn new_side(count: usize, init: impl Fn(usize) -> u64) -> Box<[EpochLlSc]> {
+        (0..count).map(|i| EpochLlSc::new(init(i))).collect()
+    }
+
+    #[inline]
+    fn cell<'a>(
+        side: &'a Box<[EpochLlSc]>,
+        _words: &'a [sync::AtomicU64],
+        i: usize,
+        _value_bits: u32,
+    ) -> &'a EpochLlSc {
+        &side[i]
     }
 }
 

@@ -14,6 +14,10 @@ use crate::{Link, LlScCell};
 /// the object did not change in between. This realizes exact LL/SC
 /// semantics up to tag wrap-around (see [`TaggedLlSc::wraparound_bound`]).
 ///
+/// The operations live on [`TaggedView`], which borrows the word: this
+/// type is a word that views itself, and the multiword object views the
+/// cell words of its own block the same way.
+///
 /// # Examples
 ///
 /// ```
@@ -36,6 +40,114 @@ pub struct TaggedLlSc {
 
 impl fmt::Debug for TaggedLlSc {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.view().fmt(f)
+    }
+}
+
+impl TaggedLlSc {
+    /// Creates a cell whose values fit in `value_bits` bits, holding `init`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value_bits` is 0 or ≥ 64 (at least one tag bit is
+    /// required), or if `init` does not fit in `value_bits` bits.
+    #[must_use]
+    pub fn new(value_bits: u32, init: u64) -> Self {
+        assert!((1..64).contains(&value_bits), "value_bits must be in 1..=63, got {value_bits}");
+        let max = (1u64 << value_bits) - 1;
+        assert!(init <= max, "initial value {init} does not fit in {value_bits} bits");
+        Self { cell: AtomicU64::new(TaggedView::initial_word(init)), value_bits }
+    }
+
+    /// Creates a cell sized for values `0..=max`, holding `init`.
+    #[must_use]
+    pub fn with_max(max: u64, init: u64) -> Self {
+        Self::new(crate::bits_for(max), init)
+    }
+
+    #[inline]
+    fn view(&self) -> TaggedView<'_> {
+        TaggedView::new(&self.cell, self.value_bits)
+    }
+
+    /// Number of successful SC/write operations that must occur *between one
+    /// process's LL and its SC* before the tag can wrap and an SC can
+    /// succeed spuriously (the residual ABA window).
+    ///
+    /// For the field widths used by the multiword algorithm (`value_bits ≤
+    /// 2 + log2(3N)`), this is at least `2^40` even for a million
+    /// processes.
+    #[must_use]
+    pub fn wraparound_bound(&self) -> u128 {
+        1u128 << self.view().tag_bits()
+    }
+
+    /// The number of bits the value field occupies.
+    #[must_use]
+    pub fn value_bits(&self) -> u32 {
+        self.value_bits
+    }
+}
+
+impl LlScCell for TaggedLlSc {
+    fn ll(&self) -> (u64, Link) {
+        self.view().ll()
+    }
+
+    fn sc(&self, link: Link, v: u64) -> bool {
+        self.view().sc(link, v)
+    }
+
+    fn vl(&self, link: Link) -> bool {
+        self.view().vl(link)
+    }
+
+    fn read(&self) -> u64 {
+        self.view().read()
+    }
+
+    fn write(&self, v: u64) {
+        self.view().write(v);
+    }
+
+    fn max_value(&self) -> u64 {
+        self.view().max_value()
+    }
+
+    fn model_label(&self, name: &'static str, a: u32, b: u32) {
+        self.view().model_label(name, a, b);
+    }
+}
+
+/// A tagged LL/SC cell viewed in place: a borrowed `AtomicU64` holding a
+/// value of `value_bits` bits under a tag, laid out as in [`TaggedLlSc`].
+///
+/// This is the one implementation of the tagged LL/SC/VL operations.
+/// [`TaggedLlSc`] views its own word; the multiword object views the cell
+/// words of its block and derives each cell's value width from its
+/// layout, so no cell stores its own width.
+///
+/// # Examples
+///
+/// ```
+/// use llsc_word::sync::AtomicU64;
+/// use llsc_word::{LlScCell, TaggedView};
+///
+/// let word = AtomicU64::new(TaggedView::initial_word(5));
+/// let x = TaggedView::new(&word, 8);
+/// let (v, link) = x.ll();
+/// assert_eq!(v, 5);
+/// assert!(x.sc(link, 6));
+/// assert!(!TaggedView::new(&word, 8).vl(link), "every view of the word sees the SC");
+/// ```
+#[derive(Clone, Copy)]
+pub struct TaggedView<'a> {
+    cell: &'a AtomicU64,
+    value_bits: u32,
+}
+
+impl fmt::Debug for TaggedView<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Untrapped read: formatting must never become a scheduling point
         // in model-checked builds.
         #[cfg(mwllsc_model)]
@@ -50,68 +162,53 @@ impl fmt::Debug for TaggedLlSc {
     }
 }
 
-impl TaggedLlSc {
-    /// Creates a cell whose values fit in `value_bits` bits, holding `init`.
+impl<'a> TaggedView<'a> {
+    /// Views `cell` as a tagged cell whose values fit in `value_bits` bits.
     ///
     /// # Panics
     ///
-    /// Panics if `value_bits` is 0 or ≥ 64 (at least one tag bit is
-    /// required), or if `init` does not fit in `value_bits` bits.
+    /// In debug builds, panics if `value_bits` is 0 or ≥ 64 (at least one
+    /// tag bit is required).
+    #[inline]
     #[must_use]
-    pub fn new(value_bits: u32, init: u64) -> Self {
-        assert!((1..64).contains(&value_bits), "value_bits must be in 1..=63, got {value_bits}");
-        let this = Self { cell: AtomicU64::new(0), value_bits };
-        assert!(init <= this.max_value(), "initial value {init} does not fit in {value_bits} bits");
-        this.cell.store(init, Ordering::Relaxed); // lint: cell=none
-        this
+    pub fn new(cell: &'a AtomicU64, value_bits: u32) -> Self {
+        debug_assert!((1..64).contains(&value_bits), "value_bits must be in 1..=63");
+        Self { cell, value_bits }
     }
 
-    /// Creates a cell sized for values `0..=max`, holding `init`.
+    /// The word that holds `init` under tag 0: what a cell's word starts
+    /// as.
+    #[inline]
     #[must_use]
-    pub fn with_max(max: u64, init: u64) -> Self {
-        Self::new(crate::bits_for(max), init)
+    pub fn initial_word(init: u64) -> u64 {
+        init
     }
 
+    #[inline]
     fn value_mask(&self) -> u64 {
         (1u64 << self.value_bits) - 1
     }
 
+    #[inline]
     fn tag_bits(&self) -> u32 {
         64 - self.value_bits
     }
 
-    /// Number of successful SC/write operations that must occur *between one
-    /// process's LL and its SC* before the tag can wrap and an SC can
-    /// succeed spuriously (the residual ABA window).
-    ///
-    /// For the field widths used by the multiword algorithm (`value_bits ≤
-    /// 2 + log2(3N)`), this is at least `2^40` even for a million
-    /// processes.
-    #[must_use]
-    pub fn wraparound_bound(&self) -> u128 {
-        1u128 << self.tag_bits()
-    }
-
-    /// The number of bits the value field occupies.
-    #[must_use]
-    pub fn value_bits(&self) -> u32 {
-        self.value_bits
-    }
-
+    #[inline]
     fn pack_next(&self, raw: u64, v: u64) -> u64 {
         debug_assert!(v <= self.max_value());
         let tag = raw >> self.value_bits;
-        let next_tag = tag.wrapping_add(1) & ((1u64 << self.tag_bits()) - 1).max(1);
-        // When tag_bits == 64 the mask above is wrong, but value_bits >= 1
-        // guarantees tag_bits <= 63, so the mask is always valid.
+        // value_bits >= 1 keeps tag_bits <= 63, so the shift cannot overflow.
+        let next_tag = tag.wrapping_add(1) & ((1u64 << self.tag_bits()) - 1);
         (next_tag << self.value_bits) | v
     }
 
     #[cfg(debug_assertions)]
     fn id(&self) -> usize {
-        self as *const Self as usize
+        std::ptr::from_ref(self.cell).addr()
     }
 
+    #[inline]
     fn make_link(&self, raw: u64) -> Link {
         Link {
             snapshot: raw,
@@ -130,15 +227,18 @@ impl TaggedLlSc {
     }
 
     #[cfg(not(debug_assertions))]
+    #[inline]
     fn check_link(&self, _link: &Link) {}
 }
 
-impl LlScCell for TaggedLlSc {
+impl LlScCell for TaggedView<'_> {
+    #[inline]
     fn ll(&self) -> (u64, Link) {
         let raw = self.cell.load(Ordering::SeqCst); // lint: cell=X
         (raw & self.value_mask(), self.make_link(raw))
     }
 
+    #[inline]
     fn sc(&self, link: Link, v: u64) -> bool {
         self.check_link(&link);
         assert!(v <= self.max_value(), "SC value {v} exceeds {} bits", self.value_bits);
@@ -147,11 +247,13 @@ impl LlScCell for TaggedLlSc {
         self.cell.compare_exchange(link.snapshot, next, Ordering::SeqCst, Ordering::SeqCst).is_ok()
     }
 
+    #[inline]
     fn vl(&self, link: Link) -> bool {
         self.check_link(&link);
         self.cell.load(Ordering::SeqCst) == link.snapshot // lint: cell=X
     }
 
+    #[inline]
     fn read(&self) -> u64 {
         self.cell.load(Ordering::SeqCst) & self.value_mask() // lint: cell=X
     }
@@ -168,6 +270,7 @@ impl LlScCell for TaggedLlSc {
     /// accounting — and makes the whole `write` a *single* access at the
     /// facade granularity, mirroring the one-step `write` of the
     /// `simsched` interpreter.
+    #[inline]
     fn write(&self, v: u64) {
         assert!(v <= self.max_value(), "write value {v} exceeds {} bits", self.value_bits);
         let _ = self
@@ -176,12 +279,13 @@ impl LlScCell for TaggedLlSc {
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |cur| Some(self.pack_next(cur, v)));
     }
 
+    #[inline]
     fn max_value(&self) -> u64 {
         self.value_mask()
     }
 
     fn model_label(&self, name: &'static str, a: u32, b: u32) {
-        Labeled::set_label(&self.cell, name, a, b);
+        Labeled::set_label(self.cell, name, a, b);
     }
 }
 

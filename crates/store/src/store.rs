@@ -484,10 +484,11 @@ impl<B: MwFactory> Store<B> {
 /// initialization. The invariant
 /// `shared_words == touched_keys × per_key_shared_words` is asserted by
 /// the store stress tests. Word counts are logical registers (the paper's
-/// unit); cache-line alignment slack is excluded by design (see
-/// [`CachePadded`]). The key table that indexes the objects is reported
-/// apart, in `table_words`, so the invariant stays a statement about the
-/// objects alone.
+/// unit), so layout is excluded by design: each object's header in front
+/// of its words (the `Arc` counts, the layout and the counters) and the
+/// shards' cache-line padding (see [`CachePadded`]). The key table that
+/// indexes the objects is reported apart, in `table_words`, so the
+/// invariant stays a statement about the objects alone.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct StoreSpace {
