@@ -24,10 +24,14 @@
 //! The lease logic is [`Slots`], a view over slot words owned elsewhere:
 //! an object's `N` slot words are the first words of its own block, and a
 //! [`SlotRegistry`] (one per store shard) owns its words in a box. Either
-//! way the words are unpadded. A lease or release writes one slot once per
-//! handle lifetime, not once per op, so the line it shares with its
-//! neighbours sees rare writes; padding each word to 128 bytes would cost
-//! 120 bytes per process slot in every object and every store shard.
+//! way the words are unpadded. A handle leases a slot once and releases it
+//! on drop, but the store claims a key's object per op, so in a store
+//! every per-key op leases and releases one of the object's slot words.
+//! Those words share the object's first cache line with its header (the
+//! `Arc` counts and the counters) and `X`. Padding each word to 128 bytes
+//! would cost 120 bytes per process slot in every object and every store
+//! shard; the `pad` module records what the shared line costs on the
+//! contended `hot4` cells and in E8.
 
 use crate::sync::{AtomicU32, AtomicU64, Labeled, Ordering};
 
@@ -247,9 +251,11 @@ mod tests {
     #[test]
     fn plain_registry_payload_is_the_slot_id() {
         let r = SlotRegistry::new(4);
+        assert_eq!(r.capacity(), 4);
         for p in 0..4 {
             assert_eq!(r.lease_exact(p), Some(p as u32));
         }
+        assert_eq!(r.capacity(), 4, "leases do not change the capacity");
     }
 
     #[test]

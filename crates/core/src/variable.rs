@@ -576,6 +576,28 @@ mod tests {
         assert!(MwLlSc::try_new(2, 2, &[5, 6]).is_ok());
     }
 
+    /// Audits the layout `block::new_arc` takes on trust from the
+    /// `HeaderSlice` impl: the header at the block's start, then the words,
+    /// and nothing else.
+    #[test]
+    fn block_layout_is_header_then_words() {
+        fn check<C: Substrate>(n: usize, w: usize, cell_words: usize) {
+            let obj = MwLlSc::<C>::try_new_in(n, w, &vec![7; w]).unwrap();
+            let base = std::ptr::from_ref(&*obj).cast::<u8>();
+            let head_bytes = std::mem::size_of::<Head<C>>();
+            assert_eq!(head_bytes % 8, 0, "the words start right after the header");
+            assert_eq!(std::ptr::from_ref(&obj.head).cast::<u8>(), base);
+            assert_eq!(obj.words.as_ptr().cast::<u8>(), base.wrapping_add(head_bytes));
+            assert_eq!(obj.words.len(), n + cell_words + 3 * n * w);
+            assert_eq!(std::mem::size_of_val(&*obj), head_bytes + 8 * obj.words.len());
+            assert_eq!(std::mem::align_of_val(&*obj), 8);
+        }
+        for (n, w) in [(1, 1), (4, 1), (3, 4)] {
+            check::<TaggedLlSc>(n, w, 3 * n + 1);
+            check::<llsc_word::EpochLlSc>(n, w, 0);
+        }
+    }
+
     #[test]
     fn claim_is_exclusive_while_leased() {
         let obj = MwLlSc::new(2, 1, &[0]);

@@ -6,6 +6,14 @@
 //! runtime-length slice, but not of a struct that ends in one; this
 //! module is the constructor for that shape, and the only unsafe code it
 //! adds to the suite.
+//!
+//! Its soundness rests on the implementor of `HeaderSlice` declaring its
+//! layout truthfully, which the compiler cannot check. That obligation
+//! belongs on an `unsafe trait`, but the one implementor, `mwllsc`'s
+//! `MwLlSc`, lives in a crate that forbids unsafe code, and an
+//! `unsafe impl` is unsafe code. So the trait is safe to implement, both
+//! items are hidden from the documentation, and they are not meant for
+//! any other implementor.
 
 use std::mem::{align_of, size_of};
 use std::ptr;
@@ -20,9 +28,16 @@ use std::sync::Arc;
 /// fields, a [`Header`](Self::Header) and then a `[`[`Elem`](Self::Elem)`]`,
 /// and [`cast`](Self::cast) is the plain pointer cast `tail as *const Self`,
 /// which keeps the address and takes the slice length as the length of
-/// the trailing field. [`new_arc`] relies on both. Rust offers no safe way
-/// to express the cast generically, which is why the implementor writes
-/// it out.
+/// the trailing field. Rust offers no safe way to express the cast
+/// generically, which is why the implementor writes it out.
+///
+/// An impl that breaks this contract is unsound: [`new_arc`] checks only
+/// that `cast` keeps the address, so a wrong field order, a missing
+/// `#[repr(C)]`, or a `Header` or `Elem` other than the fields' own types
+/// makes it hand out an `Arc` to memory that does not hold a valid `Self`,
+/// which is undefined behaviour reached from safe code. The trait is
+/// hidden and has one implementor, `MwLlSc`, whose layout `mwllsc`'s
+/// tests check.
 ///
 /// # Examples
 ///
@@ -48,6 +63,7 @@ use std::sync::Arc;
 /// assert_eq!(row.label, "squares");
 /// assert_eq!(&row.cells, &[0, 1, 4, 9]);
 /// ```
+#[doc(hidden)]
 pub trait HeaderSlice {
     /// The fixed fields in front of the slice.
     type Header;
@@ -66,11 +82,15 @@ pub trait HeaderSlice {
 /// and one of them to exactly 8, so that the block is laid out like the
 /// `Arc<[u64]>` it is allocated as.
 ///
+/// Sound only for a `T` that keeps the [`HeaderSlice`] contract; see
+/// there.
+///
 /// # Panics
 ///
 /// Panics if the block's size overflows, if `T` breaks the
 /// [`HeaderSlice`] contract's address rule, or if `init` panics (the
 /// block is then freed; elements already built are leaked, not dropped).
+#[doc(hidden)]
 #[must_use]
 pub fn new_arc<T: HeaderSlice + ?Sized>(
     header: T::Header,

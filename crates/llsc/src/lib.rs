@@ -254,6 +254,10 @@ pub trait Substrate: Sized + 'static {
 
     /// Cell `i`, whose values fit in `value_bits` bits: word `i` of
     /// `words` (the block's cell words) or entry `i` of `side`.
+    ///
+    /// `value_bits` must be in `1..=63`, as the multiword layout's widths
+    /// are. This is the per-access path, so the range is checked only in
+    /// debug builds; [`TaggedView::new`] checks it always.
     fn cell<'a>(
         side: &'a Self::Side,
         words: &'a [sync::AtomicU64],
@@ -281,7 +285,7 @@ impl Substrate for TaggedLlSc {
         i: usize,
         value_bits: u32,
     ) -> TaggedView<'a> {
-        TaggedView::new(&words[i], value_bits)
+        TaggedView::with_checked_bits(&words[i], value_bits)
     }
 }
 

@@ -67,7 +67,7 @@ impl TaggedLlSc {
 
     #[inline]
     fn view(&self) -> TaggedView<'_> {
-        TaggedView::new(&self.cell, self.value_bits)
+        TaggedView::with_checked_bits(&self.cell, self.value_bits)
     }
 
     /// Number of successful SC/write operations that must occur *between one
@@ -167,11 +167,20 @@ impl<'a> TaggedView<'a> {
     ///
     /// # Panics
     ///
-    /// In debug builds, panics if `value_bits` is 0 or ≥ 64 (at least one
-    /// tag bit is required).
+    /// Panics if `value_bits` is 0 or ≥ 64 (at least one tag bit is
+    /// required).
     #[inline]
     #[must_use]
     pub fn new(cell: &'a AtomicU64, value_bits: u32) -> Self {
+        assert!((1..64).contains(&value_bits), "value_bits must be in 1..=63, got {value_bits}");
+        Self { cell, value_bits }
+    }
+
+    /// [`new`](Self::new) for a width the caller has already checked: a
+    /// [`TaggedLlSc`]'s own, or one derived from a multiword layout, which
+    /// the per-access paths view without repeating the range check.
+    #[inline]
+    pub(crate) fn with_checked_bits(cell: &'a AtomicU64, value_bits: u32) -> Self {
         debug_assert!((1..64).contains(&value_bits), "value_bits must be in 1..=63");
         Self { cell, value_bits }
     }
@@ -385,6 +394,18 @@ mod tests {
     #[should_panic(expected = "value_bits")]
     fn zero_value_bits_panics() {
         let _ = TaggedLlSc::new(0, 0);
+    }
+
+    #[test]
+    fn view_rejects_widths_without_a_tag_bit() {
+        let word = AtomicU64::new(0);
+        for bits in [0, 64] {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                TaggedView::new(&word, bits)
+            }));
+            assert!(caught.is_err(), "value_bits={bits} must be rejected");
+        }
+        assert_eq!(TaggedView::new(&word, 63).max_value(), (1 << 63) - 1);
     }
 
     #[test]
