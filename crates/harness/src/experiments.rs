@@ -1217,17 +1217,17 @@ pub fn e14_lint(_quick: bool) {
     }
 }
 
-/// E16 — the YCSB-style perf-trajectory grid: seeded key distributions
+/// E16 — the YCSB-style exactness grid: seeded key distributions
 /// (zipfian / uniform / 80-20 hot set) and read-update mixes A–C over
 /// three store backends, the server loopback path (both dispatch
 /// modes), the mesh, a handle-churn storm, an update-batch-size sweep,
 /// and the server conns × depth and store-vs-mesh callers × depth
 /// sweeps. Every cell doubles as a correctness run — keys are preloaded
 /// to `k + 1` and per-key acked sums are checked exactly after the
-/// clock stops — and the grid lands in the versioned `BENCH_<rev>.json`
-/// that the `bench-diff` regression gate consumes.
+/// clock stops — and the grid lands in the versioned, emit-only
+/// `BENCH_<rev>.json`.
 pub fn e16_ycsb(quick: bool) {
-    use mwllsc_harness::bench_schema::{bench_repeats, bench_rev, BenchFile, Cell};
+    use mwllsc_harness::bench_schema::{bench_rev, BenchFile, Cell};
     use mwllsc_harness::workload::{
         KeyDist, KeyGen, MixSpec, SplitMix64, MIX_A, MIX_B, MIX_C, MIX_U,
     };
@@ -1237,12 +1237,12 @@ pub fn e16_ycsb(quick: bool) {
     };
     use mwllsc_store::DynStoreHandle;
 
-    println!("## E16 — YCSB-style workload grid (the perf-trajectory suite)\n");
+    println!("## E16 — YCSB-style workload grid (the exactness grid)\n");
     println!("Claim: one seeded driver exercises the store's batched paths, three");
     println!("backends, both server dispatch modes and the mesh under the standard");
     println!("YCSB taxonomy (zipfian theta=0.99 / uniform / 80-20 hot set; mixes");
-    println!("A=50/50 read-update, B=95/5, C=read-only), so perf claims become");
-    println!("diffable BENCH_<rev>.json cells. The workloads are deterministic,");
+    println!("A=50/50 read-update, B=95/5, C=read-only), and writes every cell");
+    println!("to BENCH_<rev>.json. The workloads are deterministic,");
     println!("so every cell is also an exactness gate: per-key acked sums must");
     println!("match the store exactly when the clock stops.\n");
 
@@ -1256,10 +1256,9 @@ pub fn e16_ycsb(quick: bool) {
     // granularity, and quick repeats are high enough that min-of-k
     // reliably samples the fast scheduling mode (two callers timeslicing
     // one core are bimodal — a reader can spin out a whole quantum while
-    // the writer is parked). The committed CI baseline is cut with the
-    // same quick protocol so head and baseline share an estimator.
+    // the writer is parked).
     let ops: u64 = if quick { 16_000 } else { 60_000 };
-    let repeats = bench_repeats(if quick { 7 } else { 5 });
+    let repeats: u64 = if quick { 7 } else { 5 };
     let seed: u64 = 0xE16_5EED;
 
     fn fail(what: &str, e: impl std::fmt::Display) -> ! {

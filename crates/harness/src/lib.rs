@@ -1,16 +1,14 @@
 //! Library surface of `mwllsc-harness`: the pieces of the experiment
 //! driver that are data, not measurement — seeded YCSB-style workload
-//! generation, the versioned `BENCH_<rev>.json` schema, and the
-//! `bench-diff` comparison engine.
+//! generation and the emit-only `BENCH_<rev>.json` schema.
 //!
 //! The binary (`src/main.rs`) layers the experiment grid and CLI on
-//! top; keeping these modules in a library lets the fixture suites in
-//! `tests/` drive the schema and the diff gate without spawning the
+//! top; keeping these modules in a library lets perfbench and the
+//! tests in `tests/` use the workload generators without spawning the
 //! CLI, and keeps determinism properties (canonical JSON, seeded key
 //! streams) unit-testable.
 
 #![warn(missing_docs, missing_debug_implementations)]
 
-pub mod bench_diff;
 pub mod bench_schema;
 pub mod workload;

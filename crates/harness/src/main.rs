@@ -2,8 +2,6 @@
 //!
 //! ```text
 //! mwllsc-harness <experiment> [--quick]
-//! mwllsc-harness bench-diff <baseline.json> <new.json>
-//!                [--noise F] [--cross-host-noise F] [--require-all]
 //!
 //! experiments:
 //!   e1-space             exact space usage vs N, W (ours vs baselines)
@@ -25,19 +23,17 @@
 //!   e16-ycsb             YCSB-style workload grid: backends x mixes x
 //!                        distributions over store/server/mesh, plus the
 //!                        server conns x depth and store-vs-mesh callers x
-//!                        depth sweeps; exactness gates, BENCH_<rev>.json
-//!                        (the perf trajectory)
+//!                        depth sweeps; every cell an exactness gate
+//!                        (exit 2 on any divergence), cells written to
+//!                        BENCH_<rev>.json
 //!   all                  everything above, in order
-//!
-//! bench subcommand:
-//!   bench-diff           compare two BENCH_*.json files cell-by-cell;
-//!                        exit 0 within noise, 1 on regression or a
-//!                        failed exactness gate, 2 on bad input
 //! ```
 //!
 //! `--quick` shrinks iteration counts ~10x for smoke runs (used by CI and
-//! the integration tests). `MWLLSC_BENCH_REPEATS` dials the per-cell
-//! repeat count of the E16 bench emitter (the CI `workflow_dispatch` knob).
+//! the integration tests). E16 takes the best of 7 repeats per cell in
+//! quick mode and of 5 in full mode. Perf gating is not done here: CI
+//! runs perfbench at the parent and at the change in interleaved pairs
+//! (`.github/perf_ab.py`).
 
 mod experiments;
 mod table;
@@ -47,76 +43,15 @@ fn usage() -> ! {
     eprintln!(
         "usage: mwllsc-harness <e1-space|e2-time-w|e3-time-n|e4-vl|e5-waitfree|\
          e6-linearizability|e7-helping|e8-compare|e9-reclamation|e10-store|\
-         e11-backends|e12-model|e14-lint|e16-ycsb|all> [--quick]\n\
-         \x20      mwllsc-harness bench-diff <baseline.json> <new.json> \
-         [--noise F] [--cross-host-noise F] [--require-all]"
+         e11-backends|e12-model|e14-lint|e16-ycsb|all> [--quick]"
     );
     std::process::exit(2);
-}
-
-/// `bench-diff OLD NEW`: compares two bench files and gates on the
-/// result. Exit codes: 0 = within noise, 1 = regression / failed
-/// exactness gate, 2 = unusable input (I/O, parse, schema, no overlap).
-fn bench_diff_cli(args: &[String]) -> ! {
-    use mwllsc_harness::bench_diff::{diff, DiffConfig};
-    use mwllsc_harness::bench_schema::BenchFile;
-
-    let mut cfg = DiffConfig::default();
-    let mut files: Vec<&str> = Vec::new();
-    let mut it = args.iter().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--require-all" => cfg.require_all = true,
-            "--noise" | "--cross-host-noise" => {
-                let Some(v) = it.next().and_then(|s| s.parse::<f64>().ok()) else {
-                    eprintln!("bench-diff: {a} needs a fractional value (e.g. 0.35)");
-                    std::process::exit(2);
-                };
-                if a == "--noise" {
-                    cfg.noise = v;
-                } else {
-                    cfg.cross_host_noise = v;
-                }
-            }
-            flag if flag.starts_with("--") => usage(),
-            path => files.push(path),
-        }
-    }
-    let [old_path, new_path] = files[..] else { usage() };
-
-    let load = |path: &str| -> BenchFile {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("bench-diff: cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        BenchFile::from_json(&text).unwrap_or_else(|e| {
-            eprintln!("bench-diff: {path}: {e}");
-            std::process::exit(2);
-        })
-    };
-    let (old, new) = (load(old_path), load(new_path));
-    match diff(&old, &new, &cfg) {
-        Ok(report) => {
-            print!("{}", report.to_human(old_path, new_path));
-            std::process::exit(i32::from(report.failed(&cfg)));
-        }
-        Err(e) => {
-            eprintln!("bench-diff: {e}");
-            std::process::exit(2);
-        }
-    }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let cmd = args.iter().find(|a| !a.starts_with("--")).cloned().unwrap_or_else(|| usage());
-
-    // The bench tooling subcommand prints its own output (no banner —
-    // CI logs diff it).
-    if cmd == "bench-diff" {
-        bench_diff_cli(&args);
-    }
 
     println!("# mwllsc experiment harness — {cmd}{}\n", if quick { " (quick)" } else { "" });
     println!(
